@@ -1,17 +1,17 @@
 """Non-splitness certification for the conic attached to a stable dual graph.
 
 The engine extracts a stabilizer tower from the automorphism group acting on
-darts: G1 = Aut, G2 = Stab(base vertex), G4 = setwise stabilizer of a base
-edge, and G3 = stabilizer of a chosen dart of that edge.  For a non-loop
-edge G3 coincides with G2 meet G4; for a loop the dart-level stabilizer is
-the index-2 refinement that keeps the branch double cover nondegenerate.
+darts, vertices and edges: G1 = Aut, G2 = Stab(base vertex), G4 = Stab(base
+edge) and G3 = Stab(a dart of that edge).  For a non-loop edge G3 coincides
+with G2 meet G4; for a loop the dart-level stabilizer is the index-2
+refinement that keeps the branch double cover nondegenerate.
 
 Reconstruction rebuilds a graph from cosets alone (vertices G1/G2, edges
-G1/G4, darts G1/G3) and checks it against the original edge orbit.  The
-certificate search looks for a group element whose cyclic orbits on G2/G3
-all have even size; such an element witnesses nonzero 2-torsion in the
-relative Brauer group of the corresponding global field extension, hence a
-conic with no rational point.
+G1/G4, darts G1/G3), read as the orbits of the base points, and checks it
+against the original edge orbit.  The certificate search looks for a group
+element whose cyclic orbits on G2/G3 all have even size; such an element
+witnesses nonzero 2-torsion in the relative Brauer group of the
+corresponding global field extension, hence a conic with no rational point.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .perms import (
-    CosetAction,
     OrbitCertificate,
     PermGroup,
     DEFAULT_ENUMERATION_CAP,
     even_orbit_search,
 )
-from .graphs import DartGraph, GraphAut, automorphism_group
+from .graphs import DartGraph, automorphism_group
 
 CERTIFIED_NONSPLIT = "CERTIFIED_NONSPLIT"
 NOT_CERTIFIED = "NOT_CERTIFIED"
@@ -65,7 +64,7 @@ class ClutchingData:
         return (self.g1.order(), self.g2.order(), self.g3.order(), self.g4.order())
 
 
-def stabilizer_tower(graph, base_vertex, base_edge, cap=DEFAULT_ENUMERATION_CAP):
+def stabilizer_tower(graph, base_vertex, base_edge):
     """Tower of stabilizers for a vertex and an incident edge.
 
     The base dart is the dart of the edge at the base vertex (the lower
@@ -84,9 +83,9 @@ def stabilizer_tower(graph, base_vertex, base_edge, cap=DEFAULT_ENUMERATION_CAP)
         base_dart = graph.dart_at(base_edge, base_vertex)
     aut = automorphism_group(graph)
     g1 = aut.group
-    g2 = aut.vertex_stabilizer(base_vertex, cap=cap)
+    g2 = aut.vertex_stabilizer(base_vertex)
     g3 = g2.pointwise_stabilizer((base_dart,))
-    g4 = g1.setwise_stabilizer(graph.dart_pair(base_edge), cap=cap)
+    g4 = aut.edge_stabilizer(base_edge)
     n, rem_n = divmod(g1.order(), g2.order())
     m, rem_m = divmod(g2.order(), g3.order())
     assert rem_n == 0 and rem_m == 0
@@ -105,8 +104,11 @@ def stabilizer_tower(graph, base_vertex, base_edge, cap=DEFAULT_ENUMERATION_CAP)
     )
 
 
-def gamma_dagger(cd, cap=DEFAULT_ENUMERATION_CAP):
+def gamma_dagger(cd):
     """Rebuild a graph from the tower: vertices G1/G2, edges G1/G4, darts G1/G3.
+
+    The coset gH is the image under g of the point H fixes, so a walk of the
+    orbit of (d0, v0, e0) lists the darts: g(d0) sits at g(v0) on g(e0).
 
     Each edge coset contains exactly two dart cosets, which the involution
     pairs.  The output may be disconnected (the orbit of the base edge need
@@ -119,22 +121,24 @@ def gamma_dagger(cd, cap=DEFAULT_ENUMERATION_CAP):
             "over the dart stabilizer, expected 2"
             % (cd.base_edge, cd.g4.order() // cd.g3.order())
         )
-    dart_cosets = CosetAction(cd.g1, cd.g3)
-    vertex_cosets = CosetAction(cd.g1, cd.g2)
-    edge_cosets = CosetAction(cd.g1, cd.g4)
-    dart_vertex = []
-    dart_edge = []
-    for rep in dart_cosets.transversal:
-        dart_vertex.append(vertex_cosets.coset_index(rep))
-        dart_edge.append(edge_cosets.coset_index(rep))
+    darts, vertices = cd.graph.dart_count, cd.graph.vertex_count
+    generators = automorphism_group(cd.graph).lifted.generators
+    triples = [(cd.base_dart, darts + cd.base_vertex, darts + vertices + cd.base_edge)]
+    seen = set(triples)
+    for triple in triples:
+        for g in generators:
+            image = tuple(g.images[x] for x in triple)
+            if image not in seen:
+                seen.add(image)
+                triples.append(image)
+    vertex_index = {}
+    dart_vertex = [vertex_index.setdefault(v, len(vertex_index)) for _, v, _ in triples]
     by_edge = {}
-    for d, e in enumerate(dart_edge):
+    for d, (_, _, e) in enumerate(triples):
         by_edge.setdefault(e, []).append(d)
     involution = [None] * len(dart_vertex)
-    for pair in by_edge.values():
-        assert len(pair) == 2
-        involution[pair[0]] = pair[1]
-        involution[pair[1]] = pair[0]
+    for a, b in by_edge.values():
+        involution[a], involution[b] = b, a
     return DartGraph.from_darts(dart_vertex, involution, require_connected=False)
 
 
@@ -161,7 +165,7 @@ class OrbitRoundtrip:
         return self.witness is not None
 
 
-def roundtrip_report(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
+def roundtrip_report(graph, base_vertex=0):
     """Reconstruction check per edge orbit, from the given base vertex.
 
     Only meaningful for vertex-transitive graphs, where every edge orbit
@@ -176,8 +180,8 @@ def roundtrip_report(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
     reports = []
     for idx, orbit in enumerate(aut.edge_orbits()):
         e0 = min(k for k in orbit if base_vertex in graph.edges[k])
-        cd = stabilizer_tower(graph, base_vertex, e0, cap=cap)
-        rebuilt = gamma_dagger(cd, cap=cap)
+        cd = stabilizer_tower(graph, base_vertex, e0)
+        rebuilt = gamma_dagger(cd)
         sub = orbit_subgraph(graph, orbit)
         witness = find_isomorphism(rebuilt, sub)
         reports.append(
@@ -193,8 +197,8 @@ def roundtrip_report(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
     return reports
 
 
-def roundtrip_check(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
-    return all(r.ok for r in roundtrip_report(graph, base_vertex, cap=cap))
+def roundtrip_check(graph, base_vertex=0):
+    return all(r.ok for r in roundtrip_report(graph, base_vertex))
 
 
 @dataclass(frozen=True)
@@ -294,7 +298,7 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
             n=None,
             per_orbit=(),
         )
-    g2 = aut.vertex_stabilizer(base_vertex, cap=cap)
+    g2 = aut.vertex_stabilizer(base_vertex)
     n = g1.order() // g2.order()
     edge_orbit_of = {}
     for idx, orbit in enumerate(aut.edge_orbits()):
@@ -305,7 +309,7 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
         d0 = dart_orbit[0]
         e0 = graph.edge_of(d0)
         g3 = g2.pointwise_stabilizer((d0,))
-        g4 = g1.setwise_stabilizer(graph.dart_pair(e0), cap=cap)
+        g4 = aut.edge_stabilizer(e0)
         m = g2.order() // g3.order()
         cert = even_orbit_search(g2, g3, cap=cap)
         reports.append(

@@ -11,8 +11,8 @@ Exit codes: 0 on success (including a certified verdict), 1 when the run
 completed but did not certify (NOT_CERTIFIED, SPLITS_TRIVIALLY, failed
 roundtrip, witnesses not found), 2 on input or validation errors.
 
-The environment variable DEGENERA_CAP overrides the group element
-enumeration cap.
+The environment variable DEGENERA_CAP, a positive integer, overrides the
+cap on vertex stabilizer elements enumerated by the search in `certify`.
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ def _build_parser():
         choices=("text", "structured"),
         default="text",
         help="report format (structured = one JSON object)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=None,
-        help="reserved; every algorithm here is deterministic",
     )
 
     source = argparse.ArgumentParser(add_help=False)
@@ -224,7 +220,7 @@ def _cmd_certify(args, cap):
 
 def _cmd_roundtrip(args, cap):
     graph, label = _load_graph(args)
-    reports = roundtrip_report(graph, base_vertex=args.base_vertex, cap=cap)
+    reports = roundtrip_report(graph, base_vertex=args.base_vertex)
     ok = all(r.ok for r in reports)
     result = {
         "ok": ok,
@@ -348,7 +344,9 @@ def main(argv=None):
         try:
             cap = int(env_cap)
         except ValueError:
-            print("error: DEGENERA_CAP must be an integer", file=sys.stderr)
+            cap = 0
+        if cap <= 0:
+            print("error: DEGENERA_CAP must be a positive integer", file=sys.stderr)
             return 2
     handlers = {
         "graph": _cmd_graph_analyze,

@@ -408,9 +408,6 @@ def degree_pattern(f, p):
     return _pattern_of_squarefree(fbar, p)
 
 
-RAMIFIED = None
-
-
 @dataclass(frozen=True)
 class CensusResult:
     poly: IntPoly

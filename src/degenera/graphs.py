@@ -14,9 +14,9 @@ multiplicity-preserving vertex bijections found by backtracking.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .perms import Perm, PermGroup, DEFAULT_ENUMERATION_CAP
+from .perms import Perm, PermGroup
 
 
 class DartGraph:
@@ -364,6 +364,8 @@ class GraphAut:
     def __init__(self, graph, group):
         self.graph = graph
         self.group = group
+        self._vertices = (graph.dart_count, graph.vertex_count)
+        self._edges = (graph.dart_count + graph.vertex_count, graph.edge_count)
 
     def vertex_perm(self, p):
         """Vertex permutation covered by a dart permutation in the group."""
@@ -382,24 +384,49 @@ class GraphAut:
             tuple(p.images[2 * k] // 2 for k in range(self.graph.edge_count))
         )
 
+    @cached_property
+    def lifted(self):
+        """The group on darts 0..D-1, vertices from D and edges from D + V."""
+        (v0, _), (e0, edge_count) = self._vertices, self._edges
+        gens = [
+            Perm._unchecked(
+                g.images
+                + tuple(v0 + w for w in self.vertex_perm(g).images)
+                + tuple(e0 + f for f in self.edge_perm(g).images)
+            )
+            for g in self.group.generators
+        ]
+        return PermGroup(e0 + edge_count, gens)
+
+    def _orbits(self, start, count):
+        orbits = self.lifted.orbits(points=range(start, start + count))
+        return [tuple(x - start for x in orb) for orb in orbits]
+
+    def _stabilizer(self, start, count, index):
+        """Stabilizer of lifted point start + index, restricted back to the darts."""
+        if not 0 <= index < count:
+            raise ValueError("index %d out of range 0..%d" % (index, count - 1))
+        fixed = self.lifted.pointwise_stabilizer((start + index,))
+        darts = self.graph.dart_count
+        restricted = [Perm._unchecked(h.images[:darts]) for h in fixed.generators]
+        return PermGroup(darts, restricted)
+
     def vertex_orbits(self):
-        vertex_group = PermGroup(
-            self.graph.vertex_count, [self.vertex_perm(g) for g in self.group.generators]
-        )
-        return vertex_group.orbits()
+        return self._orbits(*self._vertices)
 
     def edge_orbits(self):
-        edge_group = PermGroup(
-            self.graph.edge_count, [self.edge_perm(g) for g in self.group.generators]
-        )
-        return edge_group.orbits()
+        return self._orbits(*self._edges)
 
     def is_vertex_transitive(self):
         return len(self.vertex_orbits()) == 1
 
-    def vertex_stabilizer(self, v, cap=DEFAULT_ENUMERATION_CAP):
-        """Subgroup whose covered vertex maps fix v: setwise stabilizer of its darts."""
-        return self.group.setwise_stabilizer(self.graph.darts_at(v), cap=cap)
+    def vertex_stabilizer(self, v):
+        """Subgroup whose covered vertex map fixes v."""
+        return self._stabilizer(*self._vertices, v)
+
+    def edge_stabilizer(self, e):
+        """Subgroup mapping edge e to itself, possibly swapping its two darts."""
+        return self._stabilizer(*self._edges, e)
 
 
 @lru_cache(maxsize=128)

@@ -135,11 +135,6 @@ class Perm:
         return "Perm(%r)" % list(self.images)
 
 
-def _compose_images(a, b):
-    # image tuple of a o b without building Perm objects
-    return tuple(map(a.__getitem__, b))
-
-
 class _ChainLevel:
     __slots__ = ("point", "gens", "transversal", "order_list", "checked")
 
@@ -376,18 +371,6 @@ class PermGroup:
         gens = [g for lvl in sub.levels for g in lvl.gens]
         return PermGroup._from_chain(self.degree, gens, sub)
 
-    def setwise_stabilizer(self, points, cap=DEFAULT_ENUMERATION_CAP):
-        """Subgroup preserving the point set, by explicit element enumeration."""
-        target = frozenset(points)
-        for x in target:
-            if not 0 <= x < self.degree:
-                raise ValueError("point %d out of range" % x)
-        keep = []
-        for p in self.elements(cap):
-            if frozenset(p.images[x] for x in target) == target:
-                keep.append(p)
-        return PermGroup(self.degree, keep)
-
     def element_orders(self, cap=DEFAULT_ENUMERATION_CAP):
         """Set of orders of the elements of the group."""
         return {p.order() for p in self.elements(cap)}
@@ -427,7 +410,6 @@ class CosetAction:
                 if self._find(moved) is None:
                     self.transversal.append(moved)
                     self._rep_inverses.append(moved.inverse())
-        self.action_table = [self.permutation(g) for g in group.generators]
 
     @property
     def coset_count(self):

@@ -1,9 +1,9 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately naive: brute-force closures, Sylvester
-determinants over Fractions, exhaustive dart-permutation filters, and
-trial-division factorization.  None of it shares code with the package
-internals it checks.
+determinants over Fractions, exhaustive dart-permutation filters, coset
+tables, and trial-division factorization.  None of it shares code with the
+package internals it checks.
 """
 
 import itertools
@@ -203,6 +203,31 @@ def sympy_degree_pattern(coeffs, p):
         return None
     degrees = [len(fac) - 1 for fac, _ in factors if len(fac) > 1]
     return tuple(sorted(degrees, reverse=True))
+
+
+def coset_gamma_dagger(cd):
+    """Graph rebuilt from a stabilizer tower by explicit coset tables.
+
+    Darts are the cosets G1/G3; dart gG3 sits at vertex gG2 on edge gG4,
+    each coset found by linear search through a CosetAction.  This keeps
+    the reconstruction's coset claim under test independently of the
+    package's orbit walk over lifted points.
+    """
+    from degenera.graphs import DartGraph
+    from degenera.perms import CosetAction
+
+    dart_cosets = CosetAction(cd.g1, cd.g3)
+    vertex_cosets = CosetAction(cd.g1, cd.g2)
+    edge_cosets = CosetAction(cd.g1, cd.g4)
+    by_edge = {}
+    dart_vertex = []
+    for d, rep in enumerate(dart_cosets.transversal):
+        dart_vertex.append(vertex_cosets.coset_index(rep))
+        by_edge.setdefault(edge_cosets.coset_index(rep), []).append(d)
+    involution = [None] * len(dart_vertex)
+    for a, b in by_edge.values():
+        involution[a], involution[b] = b, a
+    return DartGraph.from_darts(dart_vertex, involution, require_connected=False)
 
 
 def relabel_graph(graph, vertex_images, shuffle_edges=None):

@@ -17,6 +17,7 @@ from degenera.certify import (
 from degenera.graphs import (
     DartGraph,
     automorphism_group,
+    check_dart_isomorphism,
     circulant_graph,
     complete_bipartite,
     complete_graph,
@@ -26,7 +27,7 @@ from degenera.graphs import (
     theta_loops,
 )
 from degenera.perms import CosetAction, Perm, verify_certificate
-from helpers import brute_coset_orbit_sizes, relabel_graph
+from helpers import brute_coset_orbit_sizes, coset_gamma_dagger, relabel_graph
 
 
 def rigid_fixture():
@@ -140,6 +141,23 @@ class TestGammaDagger:
         assert not rebuilt.connected
         assert rebuilt.vertex_count == 2 and rebuilt.edge_count == 2
         assert all(rebuilt.is_loop(k) for k in range(2))
+
+    def test_matches_coset_oracle(self):
+        # every edge orbit of the degree-4 families (theta-loops' loop orbit
+        # included) and K_{4,4}: the orbit walk and explicit coset tables
+        # rebuild isomorphic graphs
+        graphs = [circulant_graph(g) for g in range(7, 13)]
+        graphs += [complete_graph(5), theta_loops(), complete_bipartite(4, 4)]
+        graphs += [doubled_cycle(g) for g in range(4, 11)]
+        for g in graphs:
+            for orbit in automorphism_group(g).edge_orbits():
+                e0 = min(k for k in orbit if 0 in g.edges[k])
+                cd = stabilizer_tower(g, 0, e0)
+                oracle = coset_gamma_dagger(cd)
+                rebuilt = gamma_dagger(cd)
+                witness = find_isomorphism(oracle, rebuilt)
+                assert witness is not None
+                assert check_dart_isomorphism(oracle, rebuilt, witness)
 
     def test_no_endpoint_swap(self):
         # a bridge between vertices of distinct degrees cannot be reversed

@@ -56,6 +56,11 @@ class TestParsing:
         path.write_text("this is not a graph\n")
         assert run_cli(capsys, "certify", str(path))[0] == 2
 
+    def test_seed_option_removed(self, capsys):
+        code, _, err = run_cli(capsys, "certify", "--family", "k5", "--seed", "1")
+        assert code == 2
+        assert "--seed" in err
+
 
 class TestAnalyze:
     def test_k5_text(self, capsys):
@@ -282,6 +287,17 @@ class TestEnumerationCap:
         code, _, err = run_cli(capsys, "certify", "--family", "k5")
         assert code == 2
         assert "enumeration cap exceeded" in err
+
+    @pytest.mark.parametrize(
+        "command", [("certify",), ("clutch", "roundtrip")], ids=["certify", "roundtrip"]
+    )
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_cap_env_must_be_positive(self, capsys, monkeypatch, command, value):
+        monkeypatch.setenv("DEGENERA_CAP", value)
+        code, out, err = run_cli(capsys, *command, "--family", "k5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: DEGENERA_CAP must be a positive integer\n"
 
     def test_cap_env_must_be_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("DEGENERA_CAP", "plenty")

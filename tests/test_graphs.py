@@ -257,6 +257,66 @@ class TestTransitivityAndOrbits:
         assert not is_vertex_transitive(g)
 
 
+class TestLiftedStabilizers:
+    """Point stabilizers and orbits of the lifted action against element filters."""
+
+    @staticmethod
+    def check_against_elements(graph):
+        aut = automorphism_group(graph)
+        elements = aut.group.elements()
+
+        def fixing(darts):
+            darts = set(darts)
+            return {p.images for p in elements if {p.images[d] for d in darts} == darts}
+
+        def images(group):
+            return {p.images for p in group.elements()}
+
+        for v in range(graph.vertex_count):
+            assert images(aut.vertex_stabilizer(v)) == fixing(graph.darts_at(v))
+        for e in range(graph.edge_count):
+            assert images(aut.edge_stabilizer(e)) == fixing(graph.dart_pair(e))
+        vertex_orbits = {
+            tuple(sorted({graph.vertex_of(p.images[d]) for p in elements}))
+            for d in range(graph.dart_count)
+        }
+        edge_orbits = {
+            tuple(sorted({p.images[2 * e] // 2 for p in elements}))
+            for e in range(graph.edge_count)
+        }
+        assert set(aut.vertex_orbits()) == vertex_orbits
+        assert set(aut.edge_orbits()) == edge_orbits
+
+    def test_families(self):
+        graphs = [circulant_graph(g) for g in range(7, 13)]
+        graphs += [complete_graph(5), theta_loops()]
+        graphs += [doubled_cycle(g) for g in range(4, 11)]
+        for g in graphs:
+            self.check_against_elements(g)
+
+    def test_random_multigraphs(self):
+        rng = random.Random(2019)
+        graphs = [
+            random_connected_multigraph(rng, rng.randint(2, 5), rng.randint(2, 5))
+            for _ in range(20)
+        ]
+        assert any(g.is_loop(k) for g in graphs for k in range(g.edge_count))
+        assert any(
+            len(ids) > 1 for g in graphs for ids in g.parallel_classes().values()
+        )
+        for g in graphs:
+            self.check_against_elements(g)
+
+    def test_out_of_range(self):
+        aut = automorphism_group(theta_loops())
+        for bad in (-1, 2):
+            with pytest.raises(ValueError):
+                aut.vertex_stabilizer(bad)
+        for bad in (-1, 4):
+            with pytest.raises(ValueError):
+                aut.edge_stabilizer(bad)
+
+
 class TestAdmissibility:
     def test_k34(self):
         assert is_admissible(complete_bipartite(3, 4))
