@@ -8,10 +8,12 @@ refinement that keeps the branch double cover nondegenerate.
 
 Reconstruction rebuilds a graph from cosets alone (vertices G1/G2, edges
 G1/G4, darts G1/G3), read as the orbits of the base points, and checks it
-against the original edge orbit.  The certificate search looks for a group
-element whose cyclic orbits on G2/G3 all have even size; such an element
-witnesses nonzero 2-torsion in the relative Brauer group of the
+against the original edge orbit.  The certificate search looks for an
+element of G2 whose cyclic orbits on G2/G3 all have even size; such an
+element witnesses nonzero 2-torsion in the relative Brauer group of the
 corresponding global field extension, hence a conic with no rational point.
+Since G3 fixes the dart d0, G2/G3 is the dart orbit G2·d0, and the search
+reads those orbit sizes as cycle lengths on the darts of that orbit.
 """
 
 from __future__ import annotations
@@ -308,10 +310,9 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
     for dart_orbit in g2.orbits(points=graph.darts_at(base_vertex)):
         d0 = dart_orbit[0]
         e0 = graph.edge_of(d0)
-        g3 = g2.pointwise_stabilizer((d0,))
         g4 = aut.edge_stabilizer(e0)
-        m = g2.order() // g3.order()
-        cert = even_orbit_search(g2, g3, cap=cap)
+        m = len(dart_orbit)
+        cert = even_orbit_search(g2, d0, cap=cap)
         reports.append(
             OrbitSearchReport(
                 edge_orbit_index=edge_orbit_of[e0],
@@ -319,7 +320,7 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
                 base_edge=e0,
                 is_loop=graph.is_loop(e0),
                 dart_orbit=dart_orbit,
-                g3_order=g3.order(),
+                g3_order=g2.order() // m,
                 g4_order=g4.order(),
                 m=m,
                 certificate=cert,

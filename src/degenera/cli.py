@@ -12,7 +12,8 @@ completed but did not certify (NOT_CERTIFIED, SPLITS_TRIVIALLY, failed
 roundtrip, witnesses not found), 2 on input or validation errors.
 
 The environment variable DEGENERA_CAP, a positive integer, overrides the
-cap on vertex stabilizer elements enumerated by the search in `certify`.
+cap on vertex stabilizer elements enumerated by the search in `certify`;
+a branch orbit of odd size is settled without enumerating anything.
 """
 
 from __future__ import annotations

@@ -114,7 +114,9 @@ def parse_poly(text):
 
 
 def primes_upto(bound):
-    """Ascending primes <= bound by a byte sieve."""
+    """Ascending primes <= bound by a byte sieve; bound must be below 2^31."""
+    if bound >= PRIME_LIMIT:
+        raise ValueError("bound %d must be below 2^31" % bound)
     if bound < 2:
         return []
     sieve = bytearray([1]) * (bound + 1)

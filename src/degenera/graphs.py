@@ -436,11 +436,7 @@ def automorphism_group(graph):
     for sigma in _vertex_bijections(graph, graph):
         if any(s != i for i, s in enumerate(sigma)):
             gens.append(Perm(_lift_vertex_map(graph, graph, sigma)))
-    if not gens:
-        group = PermGroup(graph.dart_count, [])
-    else:
-        group = PermGroup(graph.dart_count, gens)
-    return GraphAut(graph, group)
+    return GraphAut(graph, PermGroup(graph.dart_count, gens))
 
 
 def is_vertex_transitive(graph):

@@ -173,9 +173,10 @@ class _StabilizerChain:
     def _gens_for(self, i):
         return [g for lvl in self.levels[i:] for g in lvl.gens]
 
-    def sift(self, p):
-        """Reduce p through the chain; returns (residue, level index where it stuck)."""
-        for i, lvl in enumerate(self.levels):
+    def sift(self, p, start=0):
+        """Reduce p from level start on; returns (residue, level index where it stuck)."""
+        for i in range(start, len(self.levels)):
+            lvl = self.levels[i]
             x = p.images[lvl.point]
             u = lvl.transversal.get(x)
             if u is None:
@@ -230,7 +231,7 @@ class _StabilizerChain:
                     lvl.checked.add(key)
                     if residue.is_identity():
                         continue
-                    residue, j = self._sift_from(residue, i + 1)
+                    residue, j = self.sift(residue, i + 1)
                     if residue.is_identity():
                         continue
                     if j == len(self.levels):
@@ -243,17 +244,6 @@ class _StabilizerChain:
                     break
             if not added:
                 return
-
-    def _sift_from(self, p, start):
-        for i in range(start, len(self.levels)):
-            lvl = self.levels[i]
-            x = p.images[lvl.point]
-            u = lvl.transversal.get(x)
-            if u is None:
-                return p, i
-            if x != lvl.point:
-                p = u.inverse() * p
-        return p, len(self.levels)
 
     def order(self):
         n = 1
@@ -371,10 +361,6 @@ class PermGroup:
         gens = [g for lvl in sub.levels for g in lvl.gens]
         return PermGroup._from_chain(self.degree, gens, sub)
 
-    def element_orders(self, cap=DEFAULT_ENUMERATION_CAP):
-        """Set of orders of the elements of the group."""
-        return {p.order() for p in self.elements(cap)}
-
 
 def group_from_generators(generators, degree=None):
     """PermGroup spanned by the generators; degree defaults to theirs."""
@@ -456,32 +442,35 @@ def _is_two_power(n):
     return n >= 2 and n & (n - 1) == 0
 
 
-def even_orbit_search(group, subgroup, cap=DEFAULT_ENUMERATION_CAP):
-    """Search for an element with all-even cyclic orbits on group/subgroup cosets.
+def even_orbit_search(group, point, cap=DEFAULT_ENUMERATION_CAP):
+    """Search for an element whose cycles on the orbit of point all have even length.
 
-    Candidates whose order is a power of two that the subgroup cannot match
-    are tried first: such an element has no conjugate in the subgroup, so no
-    fixed coset, and its 2-power order forces every orbit size to be even.
-    Remaining elements are tried by increasing order with lexicographic
-    tie-breaking on image tuples.  Returns an OrbitCertificate, or None
-    after exhausting the whole group.
+    The orbit Ω of point is the coset space group/Stab(point), so an
+    element's cycle lengths on Ω, fixed points included, are its cyclic
+    orbit sizes on those cosets.  An odd |Ω| leaves an odd cycle under every
+    element and ends the search before any enumeration.  Candidates whose
+    order is a power of two that no element fixing point has are tried
+    first: such an element fixes no point of Ω, and its 2-power order forces
+    every cycle length to be even.  Remaining elements are tried by
+    increasing order with lexicographic tie-breaking on image tuples.
+    Returns an OrbitCertificate, or None after exhausting the whole group.
     """
-    action = CosetAction(group, subgroup)
+    orbit = group.orbit(point)
+    if len(orbit) % 2:
+        return None
     elements = group.elements(cap)
-    sub_orders = subgroup.element_orders(cap)
-    fast, rest = [], []
-    for p in elements:
-        k = p.order()
-        if _is_two_power(k) and k not in sub_orders:
-            fast.append((k, p))
-        else:
-            rest.append((k, p))
-    fast.sort(key=lambda pair: (pair[0], pair[1].images))
-    rest.sort(key=lambda pair: (pair[0], pair[1].images))
-    for k, p in fast + rest:
-        sizes = action.cyclic_orbit_sizes(p)
+    orders = {p: p.order() for p in elements}
+    fixed_orders = {orders[p] for p in elements if p.images[point] == point}
+
+    def rank(p):
+        k = orders[p]
+        return (not (_is_two_power(k) and k not in fixed_orders), k, p.images)
+
+    for p in sorted(elements, key=rank):
+        cycles = p.cycles(include_fixed=True)
+        sizes = tuple(sorted((len(c) for c in cycles if c[0] in orbit), reverse=True))
         if all(s % 2 == 0 for s in sizes):
-            return OrbitCertificate(element=p, element_order=k, orbit_sizes=sizes)
+            return OrbitCertificate(element=p, element_order=orders[p], orbit_sizes=sizes)
     return None
 
 

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: brute-force closures, Sylvester
 determinants over Fractions, exhaustive dart-permutation filters, coset
-tables, and trial-division factorization.  None of it shares code with the
-package internals it checks.
+tables (for reconstruction and the even-orbit search), and trial-division
+factorization.  None of it shares code with the package internals it
+checks.
 """
 
 import itertools
@@ -228,6 +229,34 @@ def coset_gamma_dagger(cd):
     for a, b in by_edge.values():
         involution[a], involution[b] = b, a
     return DartGraph.from_darts(dart_vertex, involution, require_connected=False)
+
+
+def coset_even_orbit_search(group, subgroup):
+    """Even-orbit search over an explicit coset table of group/subgroup.
+
+    Same candidate order as the package search (two-power orders missing
+    from the subgroup first, then by order and image tuple), but each
+    candidate's orbit sizes come from a CosetAction permutation and the
+    subgroup's element orders from enumerating the subgroup itself.
+    """
+    from degenera.perms import CosetAction, OrbitCertificate
+
+    action = CosetAction(group, subgroup)
+    sub_orders = {h.order() for h in subgroup.elements()}
+    fast, rest = [], []
+    for p in group.elements():
+        k = p.order()
+        if k >= 2 and k & (k - 1) == 0 and k not in sub_orders:
+            fast.append((k, p))
+        else:
+            rest.append((k, p))
+    fast.sort(key=lambda pair: (pair[0], pair[1].images))
+    rest.sort(key=lambda pair: (pair[0], pair[1].images))
+    for k, p in fast + rest:
+        sizes = action.cyclic_orbit_sizes(p)
+        if all(s % 2 == 0 for s in sizes):
+            return OrbitCertificate(element=p, element_order=k, orbit_sizes=sizes)
+    return None
 
 
 def relabel_graph(graph, vertex_images, shuffle_edges=None):

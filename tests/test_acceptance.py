@@ -113,10 +113,16 @@ def test_criterion_03_alternating_negative_control():
         assert a4.order() == 12
         h = group_from_generators([Perm((1, 0, 3, 2))])
         assert h.order() == 2
-        assert even_orbit_search(a4, h) is None
+        # h fixes no point of {0..3}, so the search runs on the faithful
+        # action of A4 on its six cosets, where h fixes coset 0
+        action = CosetAction(a4, h)
+        on_cosets = group_from_generators(
+            [action.permutation(g) for g in a4.generators]
+        )
+        assert on_cosets.order() == 12
+        assert even_orbit_search(on_cosets, 0) is None
         # exhaustion cross-check: every one of the 12 elements leaves an
         # odd orbit on the six cosets
-        action = CosetAction(a4, h)
         for g in a4.elements():
             assert any(size % 2 for size in action.cyclic_orbit_sizes(g))
 

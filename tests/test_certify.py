@@ -26,8 +26,14 @@ from degenera.graphs import (
     is_isomorphic,
     theta_loops,
 )
-from degenera.perms import CosetAction, Perm, verify_certificate
-from helpers import brute_coset_orbit_sizes, coset_gamma_dagger, relabel_graph
+from degenera.perms import CosetAction, Perm, even_orbit_search, verify_certificate
+from helpers import (
+    brute_coset_orbit_sizes,
+    coset_even_orbit_search,
+    coset_gamma_dagger,
+    random_connected_multigraph,
+    relabel_graph,
+)
 
 
 def rigid_fixture():
@@ -166,6 +172,37 @@ class TestGammaDagger:
         assert cd.g4.order() == cd.g3.order()
         with pytest.raises(NoEndpointSwapError):
             gamma_dagger(cd)
+
+
+def even_degree_multigraph(rng):
+    """Random stable multigraph with every degree even: odd vertices are
+    paired off by extra edges."""
+    g = random_connected_multigraph(
+        rng, rng.randint(2, 5), rng.randint(2, 6), min_degree=3
+    )
+    odd = [v for v in range(g.vertex_count) if g.degree(v) % 2]
+    return DartGraph(g.vertex_count, list(g.edges) + list(zip(odd[::2], odd[1::2])))
+
+
+class TestEvenOrbitSearchOracle:
+    def test_matches_coset_table_search(self):
+        # on every branch orbit, the search on the dart orbit returns the
+        # same certificate (or None) as the search over an explicit coset
+        # table of G2/G3 with G3 = Stab(d0)
+        cases = [(g, 0) for g in (complete_graph(5), theta_loops(),
+                                  complete_bipartite(4, 4))]
+        cases += [(circulant_graph(g), 0) for g in range(7, 13)]
+        cases += [(doubled_cycle(g), 0) for g in range(4, 11)]
+        cases += [(rigid_fixture(), base) for base in range(3)]
+        cases.append((theta_loops(), 1))
+        rng = random.Random(41)
+        cases += [(even_degree_multigraph(rng), 0) for _ in range(20)]
+        for g, base in cases:
+            g2 = automorphism_group(g).vertex_stabilizer(base)
+            for dart_orbit in g2.orbits(points=g.darts_at(base)):
+                d0 = dart_orbit[0]
+                g3 = g2.pointwise_stabilizer((d0,))
+                assert even_orbit_search(g2, d0) == coset_even_orbit_search(g2, g3)
 
 
 class TestRoundtrip:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from degenera.cli import main
-from degenera.graphs import complete_graph, complete_bipartite
+from degenera.graphs import DartGraph, complete_graph, complete_bipartite
 
 
 def run_cli(capsys, *argv):
@@ -261,6 +261,17 @@ class TestFrobenius:
     def test_census_bad_bound(self, capsys):
         assert run_cli(capsys, "frobenius", "census", "x^2+1", "--bound", "1")[0] == 2
 
+    @pytest.mark.parametrize("bound", [str(2**31), str(10**30)], ids=["2^31", "10^30"])
+    @pytest.mark.parametrize("command", ["census", "witness", "galois"])
+    def test_bound_at_prime_limit_rejected(self, capsys, command, bound):
+        # refused before the sieve allocates bound + 1 bytes
+        code, out, err = run_cli(
+            capsys, "frobenius", command, "x^4-x-1", "--bound", bound
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: bound %s must be below 2^31\n" % bound
+
     def test_galois(self, capsys):
         code, out, _ = run_cli(
             capsys, "frobenius", "galois", "x^4-x-1", "--bound", "2000"
@@ -287,6 +298,18 @@ class TestEnumerationCap:
         code, _, err = run_cli(capsys, "certify", "--family", "k5")
         assert code == 2
         assert "enumeration cap exceeded" in err
+
+    def test_odd_branch_orbits_enumerate_nothing(self, capsys, monkeypatch, tmp_path):
+        # |Stab(v0)| = 720 > 10, but both branch orbits at v0 have odd size
+        path = tmp_path / "rigid.graph"
+        path.write_text(
+            DartGraph(3, [(0, 1)] + [(0, 2)] * 3 + [(1, 2)] * 5).to_text()
+        )
+        monkeypatch.setenv("DEGENERA_CAP", "10")
+        code, out, err = run_cli(capsys, "certify", str(path))
+        assert code == 1
+        assert err == ""
+        assert "status: NOT_CERTIFIED" in out
 
     @pytest.mark.parametrize(
         "command", [("certify",), ("clutch", "roundtrip")], ids=["certify", "roundtrip"]
