@@ -10,14 +10,22 @@ Chebotarev densities of the patterns.
 Only degree patterns are computed, never the factors themselves, via
 distinct-degree splitting: x^(p^d) mod f by square-and-multiply for d = 1,
 then modular composition for higher d (Frobenius commutes with polynomial
-composition over GF(p)).  Primes are kept below 2^31; Python integers give
-exact double-width intermediates for free.
+composition over GF(p)).  Every reduction in GF(p)[x] goes through one
+remainder by a monic polynomial.  Primes are kept below 2^31; Python
+integers give exact double-width intermediates for free.
+
+The census, the witness search and the galois search share one per-prime
+loop: it sieves once, computes disc(f) once, and counts the primes dividing
+disc(f)·lc(f) as ramified.  `degree_pattern` stays a separate single-prime
+path with its own primality and gcd(f, f') tests, so certificates and the
+test oracles check the loop independently.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -247,30 +255,28 @@ def _monic_mod(coeffs, p):
     return c
 
 
-def _gcd_mod(a, b, p):
-    """Monic gcd in GF(p)[x]; inputs are coefficient lists."""
-    a = [x % p for x in a]
-    b = [x % p for x in b]
+def _rem_mod(a, f, p):
+    """a mod monic f in GF(p)[x], in place; a's entries must lie in 0..p-1."""
+    n = len(f) - 1
+    for k in range(len(a) - 1, n - 1, -1):
+        c = a[k]
+        if c:
+            shift = k - n
+            for i in range(n):
+                a[shift + i] = (a[shift + i] - c * f[i]) % p
+    del a[n:]
     while a and a[-1] == 0:
         a.pop()
-    while b and b[-1] == 0:
-        b.pop()
+    return a
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd in GF(p)[x]; inputs are coefficient lists."""
+    a = _monic_mod(a, p)
+    b = _monic_mod(b, p)
     while b:
-        b = _monic_mod(b, p)
-        if len(b) == 1:
-            return [1]
-        while len(a) >= len(b):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            lead = a[-1]
-            shift = len(a) - len(b)
-            for i in range(len(b)):
-                a[shift + i] = (a[shift + i] - lead * b[i]) % p
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return _monic_mod(a, p)
+        a, b = b, _monic_mod(_rem_mod(a, b, p), p)
+    return a
 
 
 def _divexact_mod(a, b, p):
@@ -288,40 +294,21 @@ def _divexact_mod(a, b, p):
 
 def _mulmod(a, b, f, p):
     """a * b reduced by monic f, all in GF(p)[x]."""
-    n = len(f) - 1
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            shift = k - n
-            for i in range(n):
-                prod[shift + i] = (prod[shift + i] - c * f[i]) % p
-    del prod[n:]
-    while prod and prod[-1] == 0:
-        prod.pop()
-    return prod
+    return _rem_mod(prod, f, p)
 
 
 def _xpow_mod(f, p):
     """x^p mod f by square-and-multiply; multiplying by x is a shift."""
-    n = len(f) - 1
-    h = [0, 1] if n > 1 else [(-f[0]) % p]
+    h = _rem_mod([0, 1], f, p)
     for bit in bin(p)[3:]:
         h = _mulmod(h, h, f, p)
         if bit == "1":
-            h = [0] + h
-            if len(h) > n:
-                c = h.pop()
-                if c:
-                    for i in range(n):
-                        h[i] = (h[i] - c * f[i]) % p
-                while h and h[-1] == 0:
-                    h.pop()
+            h = _rem_mod([0] + h, f, p)
     return h
 
 
@@ -336,23 +323,6 @@ def _compose_mod(outer, inner, f, p):
             else:
                 out = [c % p]
     return out
-
-
-def _reduce_mod(a, f, p):
-    """a mod monic f in GF(p)[x]."""
-    a = [c % p for c in a]
-    n = len(f) - 1
-    for k in range(len(a) - 1, n - 1, -1):
-        c = a[k]
-        if c:
-            a[k] = 0
-            shift = k - n
-            for i in range(n):
-                a[shift + i] = (a[shift + i] - c * f[i]) % p
-    del a[n:]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def _pattern_of_squarefree(fbar, p):
@@ -381,8 +351,8 @@ def _pattern_of_squarefree(fbar, p):
             current = _divexact_mod(current, part, p)
             if len(current) == 1:
                 return tuple(sorted(degrees, reverse=True))
-            frob = _reduce_mod(frob, current, p)
-            power = _reduce_mod(power, current, p)
+            frob = _rem_mod(frob[:], current, p)
+            power = _rem_mod(power[:], current, p)
         d += 1
         if 2 * d > len(current) - 1:
             break
@@ -404,8 +374,7 @@ def degree_pattern(f, p):
     if f.leading % p == 0:
         raise ValueError("prime %d divides the leading coefficient" % p)
     fbar = _monic_mod(f.coeffs, p)
-    deriv = [x % p for x in f.derivative_coeffs()]
-    if len(_gcd_mod(fbar, deriv, p)) > 1:
+    if len(_gcd_mod(fbar, f.derivative_coeffs(), p)) > 1:
         return None
     return _pattern_of_squarefree(fbar, p)
 
@@ -450,35 +419,44 @@ class CensusResult:
         }
 
 
-def census(f, bound=DEFAULT_CENSUS_BOUND):
-    """Degree patterns over all primes <= bound, counted per pattern.
+def _patterns(f, bound):
+    """(p, pattern) for each prime p <= bound; the pattern is None when ramified.
 
-    For monic f the ramified primes are exactly those dividing the
-    discriminant, so they are split off by divisibility and the per-prime
-    work stays on the squarefree path.  Non-monic f additionally skips
-    primes dividing the leading coefficient (reported as ramified here,
-    since the pattern is undefined for them).
+    The sieve and disc(f) are computed before the first prime is yielded, so
+    a bound at the prime limit or a non-squarefree f fails at once.  For
+    monic f the ramified primes are exactly those dividing the discriminant,
+    so they are split off by divisibility and the per-prime work stays on the
+    squarefree path.  Primes dividing the leading coefficient of a non-monic
+    f also count as ramified, since the pattern is undefined for them.
     """
-    if bound < 2:
-        raise ValueError("bound must be at least 2")
     plist = primes_upto(bound)
     disc = discriminant(f)
-    lead = f.leading
+    if disc == 0:
+        raise ValueError("polynomial is not squarefree (discriminant 0)")
+    disc_lead = disc * f.leading
+    return (
+        (p, _pattern_of_squarefree(_monic_mod(f.coeffs, p), p) if disc_lead % p else None)
+        for p in plist
+    )
+
+
+def census(f, bound=DEFAULT_CENSUS_BOUND):
+    """Degree patterns over all primes <= bound, counted per pattern."""
     counts = {}
     ramified = []
-    coeffs = f.coeffs
-    for p in plist:
-        if disc % p == 0 or lead % p == 0:
+    for p, pat in _patterns(f, bound):
+        if pat is None:
             ramified.append(p)
-            continue
-        pat = _pattern_of_squarefree(_monic_mod(coeffs, p), p)
-        counts[pat] = counts.get(pat, 0) + 1
+        else:
+            counts[pat] = counts.get(pat, 0) + 1
+    if not counts:
+        raise ValueError("no unramified prime up to %d" % bound)
     return CensusResult(
         poly=f,
         bound=bound,
         counts=counts,
         ramified=tuple(ramified),
-        prime_count=len(plist),
+        prime_count=len(ramified) + sum(counts.values()),
     )
 
 
@@ -505,47 +483,38 @@ class WitnessCertificate:
         }
 
 
-def _require_monic_squarefree(f):
+def _require_monic(f):
     if not f.is_monic:
         raise ValueError("witness search needs a monic polynomial")
-    if discriminant(f) == 0:
-        raise ValueError("polynomial is not squarefree (discriminant 0)")
 
 
 def find_even_witnesses(f, bound=DEFAULT_WITNESS_BOUND):
     """The two smallest unramified primes <= bound with all-even patterns.
 
     Returns None when fewer than two exist; an odd-degree polynomial can
-    never produce an all-even pattern, so it short-circuits to None.
+    never produce an all-even pattern, so it short-circuits to None once the
+    bound and the discriminant have been checked.
     """
-    _require_monic_squarefree(f)
+    _require_monic(f)
+    patterns = _patterns(f, bound)
     if f.degree % 2 == 1:
         return None
-    found = []
-    for p in primes_upto(bound):
-        pat = degree_pattern(f, p)
-        if pat is None:
-            continue
-        if all(d % 2 == 0 for d in pat):
-            found.append((p, pat))
-            if len(found) == 2:
-                return WitnessCertificate(
-                    poly=f,
-                    primes=(found[0][0], found[1][0]),
-                    patterns=(found[0][1], found[1][1]),
-                )
-    return None
+    even = (
+        (p, pat)
+        for p, pat in patterns
+        if pat is not None and not any(d % 2 for d in pat)
+    )
+    found = list(islice(even, 2))
+    if len(found) < 2:
+        return None
+    primes, pats = zip(*found)
+    return WitnessCertificate(poly=f, primes=primes, patterns=pats)
 
 
 def galois_cycle_witnesses(f, bound=DEFAULT_WITNESS_BOUND):
     """Set of unramified degree patterns observed for primes <= bound."""
-    _require_monic_squarefree(f)
-    seen = set()
-    for p in primes_upto(bound):
-        pat = degree_pattern(f, p)
-        if pat is not None:
-            seen.add(pat)
-    return seen
+    _require_monic(f)
+    return {pat for _, pat in _patterns(f, bound) if pat is not None}
 
 
 def certifies_symmetric_group(patterns, n):

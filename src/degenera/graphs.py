@@ -35,6 +35,10 @@ class DartGraph:
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError("edge (%d, %d) out of range" % (u, v))
+        # a connected graph has a spanning tree, so |V| <= |E| + 1; checked
+        # first so an absurd vertex count fails before per-vertex lists exist
+        if require_connected and vertex_count > len(edges) + 1:
+            raise ValueError("graph is not connected")
         self.vertex_count = vertex_count
         self.edges = edges
         dart_vertex = []
@@ -264,7 +268,7 @@ def family(name, genus=None):
 FAMILY_NAMES = ("k5", "circulant", "double-cycle", "theta-loops")
 
 
-def _vertex_bijections(a, b, first_only=False):
+def _vertex_bijections(a, b):
     """Multiplicity-preserving vertex bijections a -> b, by backtracking.
 
     Candidates must match degree and loop count, and agree with every
@@ -311,10 +315,7 @@ def _vertex_bijections(a, b, first_only=False):
             image[v] = None
             used[w] = False
 
-    for sigma in extend(0):
-        yield sigma
-        if first_only:
-            return
+    yield from extend(0)
 
 
 def _lift_vertex_map(a, b, sigma):
@@ -465,7 +466,7 @@ def is_admissible(graph):
 
 def find_isomorphism(a, b):
     """A dart bijection a -> b respecting involution and incidence, or None."""
-    for sigma in _vertex_bijections(a, b, first_only=True):
+    for sigma in _vertex_bijections(a, b):
         return _lift_vertex_map(a, b, sigma)
     return None
 

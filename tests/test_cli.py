@@ -113,6 +113,16 @@ class TestAnalyze:
         assert by_path["result"] == by_family["result"]
         assert by_flag["result"] == by_path["result"]
 
+    def test_impossible_vertex_count_rejected(self, capsys, tmp_path):
+        # one edge connects at most two vertices; refused before any
+        # per-vertex list is allocated
+        path = tmp_path / "huge.graph"
+        path.write_text("vertices 1000000000000\nedge 0 1\n")
+        code, out, err = run_cli(capsys, "graph", "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: graph is not connected\n"
+
     def test_unstable_graph_reports_na(self, capsys, tmp_path):
         path = tmp_path / "loop.graph"
         path.write_text("vertices 1\nedge 0 0\n")
@@ -260,6 +270,28 @@ class TestFrobenius:
 
     def test_census_bad_bound(self, capsys):
         assert run_cli(capsys, "frobenius", "census", "x^2+1", "--bound", "1")[0] == 2
+
+    @pytest.mark.parametrize("poly", ["x^2-2x+1", "2x^2"])
+    def test_census_zero_discriminant_rejected(self, capsys, poly):
+        code, out, err = run_cli(capsys, "frobenius", "census", poly, "--bound", "100")
+        assert code == 2
+        assert out == ""
+        assert err == "error: polynomial is not squarefree (discriminant 0)\n"
+
+    def test_census_without_unramified_prime_rejected(self, capsys):
+        # 2 is the only prime up to 2, and it divides disc(x^2+1) = -4
+        code, out, err = run_cli(capsys, "frobenius", "census", "x^2+1", "--bound", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no unramified prime up to 2\n"
+
+    def test_odd_degree_witness_checks_bound(self, capsys):
+        code, out, err = run_cli(
+            capsys, "frobenius", "witness", "x^3-2", "--bound", str(2**31)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: bound %d must be below 2^31\n" % 2**31
 
     @pytest.mark.parametrize("bound", [str(2**31), str(10**30)], ids=["2^31", "10^30"])
     @pytest.mark.parametrize("command", ["census", "witness", "galois"])

@@ -18,6 +18,7 @@ from degenera.frobenius import (
     primes_upto,
     resultant,
 )
+from degenera.frobenius import _rem_mod
 from degenera.perms import CosetAction, Perm, group_from_generators
 from helpers import (
     sylvester_resultant,
@@ -281,6 +282,24 @@ class TestDegreePattern:
                 assert degree_pattern(f, p) == degree_pattern(g, p)
 
 
+class TestRemMod:
+    def test_matches_sympy_remainder(self):
+        # the remainder must come back canonical (entries in 0..p-1, no
+        # trailing zeros), not merely congruent, so compare lists exactly
+        pytest.importorskip("sympy")
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_rem, gf_strip
+
+        rng = random.Random(31)
+        for _ in range(200):
+            p = rng.choice((2, 3, 5, 7, 101, 65537))
+            f = [rng.randrange(p) for _ in range(rng.randint(1, 8))] + [1]
+            a = [rng.randrange(p) for _ in range(rng.randint(0, 20))]
+            dividend = gf_strip(list(reversed(a)))
+            expect = list(reversed(gf_rem(dividend, list(reversed(f)), p, ZZ)))
+            assert _rem_mod(list(a), f, p) == expect
+
+
 class TestCensus:
     def test_gaussian_pin(self):
         result = census(GAUSSIAN, 100)
@@ -420,3 +439,54 @@ class TestGaloisWitnesses:
         action = CosetAction(s4, stab)
         types = {action.cyclic_orbit_sizes(g) for g in s4.elements()}
         assert galois_cycle_witnesses(DEMO_QUARTIC, 2000) == types
+
+
+def per_prime_scan(f, bound):
+    """Census by one independent degree_pattern call per prime; primes
+    dividing the leading coefficient count as ramified."""
+    counts, ramified, even = {}, [], []
+    for p in primes_upto(bound):
+        pat = None if f.leading % p == 0 else degree_pattern(f, p)
+        if pat is None:
+            ramified.append(p)
+            continue
+        counts[pat] = counts.get(pat, 0) + 1
+        if all(d % 2 == 0 for d in pat):
+            even.append(p)
+    return counts, tuple(ramified), even
+
+
+class TestSharedPrimeLoop:
+    def test_matches_per_prime_scan(self):
+        rng = random.Random(30)
+        bound = 400
+        cases = []
+        while len(cases) < 20:
+            degree = rng.randint(2, 8)
+            lead = 1 if len(cases) % 2 == 0 else rng.choice((-6, -3, -1, 2, 4, 5, 9))
+            f = IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [lead])
+            if discriminant(f) != 0:
+                cases.append(f)
+        # some prime must divide lc(f) but not disc(f), or dropping the
+        # leading-coefficient test would go unseen
+        assert any(
+            (f.leading % p == 0) != (discriminant(f) % p == 0)
+            for f in cases
+            for p in primes_upto(bound)
+        )
+        witnesses = 0
+        for f in cases:
+            counts, ramified, even = per_prime_scan(f, bound)
+            result = census(f, bound)
+            assert result.counts == counts
+            assert result.ramified == ramified
+            if not f.is_monic:
+                continue
+            assert galois_cycle_witnesses(f, bound) == set(counts)
+            cert = find_even_witnesses(f, bound)
+            if len(even) < 2:
+                assert cert is None
+            else:
+                assert cert.primes == tuple(even[:2])
+                witnesses += 1
+        assert witnesses > 0
