@@ -155,6 +155,7 @@ def _cmd_graph_analyze(args, cap):
         "stable": stable,
         "all_degrees_even": graph.all_degrees_even(),
         "aut_order": aut.group.order(),
+        "aut_generators": len(aut.group.generators),
         "vertex_transitive": aut.is_vertex_transitive(),
         "edge_orbits": [list(o) for o in orbits],
         "admissible": admissible,
@@ -165,6 +166,7 @@ def _cmd_graph_analyze(args, cap):
         "stable: %s" % _yn(stable),
         "all degrees even: %s" % _yn(result["all_degrees_even"]),
         "|Aut| = %d" % result["aut_order"],
+        "generators: %d" % result["aut_generators"],
         "vertex-transitive: %s" % _yn(result["vertex_transitive"]),
         "edge orbits: %d (sizes %s)"
         % (len(orbits), ", ".join(str(len(o)) for o in orbits)),

@@ -8,8 +8,13 @@ connected graph is |E| - |V| + 1, which equals the rank of its cycle space.
 Automorphisms are permutations of the darts that commute with the involution
 and descend to a vertex bijection.  The group is assembled from local
 generators (parallel-edge swaps and loop dart flips, which span everything
-fixing all vertices) together with canonical dart lifts of the
-multiplicity-preserving vertex bijections found by backtracking.
+fixing all vertices) together with canonical dart lifts of a small
+generating set of the multiplicity-preserving vertex automorphisms.  That
+set comes from a search along a breadth-first vertex base with
+first-in-orbit pruning: each base point needs at most (orbit length - 1)
+generators, so their number follows the orbit lengths, not |Aut|.  One
+iterative first-solution backtrack serves both that search and
+find_isomorphism.
 """
 
 from __future__ import annotations
@@ -268,54 +273,172 @@ def family(name, genus=None):
 FAMILY_NAMES = ("k5", "circulant", "double-cycle", "theta-loops")
 
 
-def _vertex_bijections(a, b):
-    """Multiplicity-preserving vertex bijections a -> b, by backtracking.
+class _VertexMatcher:
+    """A partial multiplicity-preserving vertex map a -> b, grown by backtracking.
 
-    Candidates must match degree and loop count, and agree with every
-    already-assigned neighbor multiplicity, which prunes hard on the graphs
-    handled here.
+    Each vertex carries the signature (degree, loop count, sorted neighbour
+    multiplicities), and an image must share it.  A candidate image is
+    checked only against the neighbours already mapped: their multiplicities
+    must match, and the total multiplicity from the candidate to mapped
+    vertices (kept per vertex of b) must equal that of the vertex, so no
+    unmatched edge hides among the mapped vertices.
     """
-    if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
-        return
-    if sorted(a.degrees()) != sorted(b.degrees()):
-        return
-    n = a.vertex_count
-    mult_a = [[0] * n for _ in range(n)]
-    mult_b = [[0] * n for _ in range(n)]
-    for u, v in a.edges:
-        mult_a[u][v] += 1
-        if u != v:
-            mult_a[v][u] += 1
-    for u, v in b.edges:
-        mult_b[u][v] += 1
-        if u != v:
-            mult_b[v][u] += 1
-    image = [None] * n
-    used = [False] * n
 
-    def extend(v):
-        if v == n:
-            yield tuple(image)
-            return
-        row = mult_a[v]
-        for w in range(n):
-            if used[w]:
-                continue
-            if a.degree(v) != b.degree(w) or row[v] != mult_b[w][w]:
-                continue
-            if any(
-                image[u] is not None and row[u] != mult_b[w][image[u]]
-                for u in range(n)
-                if u != v
-            ):
-                continue
-            image[v] = w
-            used[w] = True
-            yield from extend(v + 1)
-            image[v] = None
-            used[w] = False
+    def __init__(self, a, b):
+        self.n = a.vertex_count
+        self.nbrs_a, self.sig_a = _neighbourhoods(a)
+        self.nbrs_b, self.sig_b = _neighbourhoods(b)
+        self.sorted_b = [sorted(nb) for nb in self.nbrs_b]
+        self.image = [None] * self.n
+        self.used = [False] * self.n
+        self.load = [0] * self.n
+        self.order = _search_order(self.nbrs_a)
 
-    yield from extend(0)
+    def assign(self, v, w):
+        self.image[v] = w
+        self.used[w] = True
+        load = self.load
+        for x, m in self.nbrs_b[w].items():
+            load[x] += m
+
+    def unassign(self, v):
+        w = self.image[v]
+        self.image[v] = None
+        self.used[w] = False
+        load = self.load
+        for x, m in self.nbrs_b[w].items():
+            load[x] -= m
+
+    def fits(self, v, w):
+        """Whether v -> w agrees with every vertex mapped so far."""
+        if self.used[w] or self.sig_a[v] != self.sig_b[w]:
+            return False
+        image = self.image
+        at_w = self.nbrs_b[w]
+        total = 0
+        for u, m in self.nbrs_a[v].items():
+            x = image[u]
+            if x is not None:
+                if at_w.get(x) != m:
+                    return False
+                total += m
+        return total == self.load[w]
+
+    def candidates(self, v):
+        """Possible images of v in ascending order: the neighbours of a mapped
+        neighbour's image, or every vertex when no neighbour is mapped yet."""
+        for u in self.nbrs_a[v]:
+            x = self.image[u]
+            if x is not None:
+                return self.sorted_b[x]
+        return range(self.n)
+
+    def complete(self, pending):
+        """First completion mapping the pending vertices in turn, or None.
+
+        An iterative depth-first search with an explicit stack: each level
+        tries its candidates in ascending order.  The partial map is left as
+        it was on entry.
+        """
+        frames = [[self.candidates(pending[0]), 0]]
+        found = None
+        while frames:
+            depth = len(frames) - 1
+            v = pending[depth]
+            if self.image[v] is not None:
+                self.unassign(v)
+            frame = frames[-1]
+            options, k = frame
+            while k < len(options) and not self.fits(v, options[k]):
+                k += 1
+            if k == len(options):
+                frames.pop()
+                continue
+            frame[1] = k + 1
+            self.assign(v, options[k])
+            if depth + 1 == len(pending):
+                found = tuple(self.image)
+                break
+            frames.append([self.candidates(pending[depth + 1]), 0])
+        for v in pending:
+            if self.image[v] is not None:
+                self.unassign(v)
+        return found
+
+
+def _neighbourhoods(graph):
+    """Per vertex: {neighbour: multiplicity} without loops, and its signature."""
+    nbrs = [{} for _ in range(graph.vertex_count)]
+    loops = [0] * graph.vertex_count
+    for u, v in graph.edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            nbrs[u][v] = nbrs[u].get(v, 0) + 1
+            nbrs[v][u] = nbrs[v].get(u, 0) + 1
+    sigs = [
+        (graph.degree(v), loops[v], tuple(sorted(nb.values())))
+        for v, nb in enumerate(nbrs)
+    ]
+    return nbrs, sigs
+
+
+def _search_order(nbrs):
+    """Breadth-first order over every component, smallest unvisited root first.
+
+    Every vertex but a root follows one of its neighbours, so in any suffix
+    of the order preceded by an arbitrary mapped prefix, a vertex has a
+    mapped neighbour unless it is a root.
+    """
+    seen = [False] * len(nbrs)
+    order = []
+    for root in range(len(nbrs)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order.append(root)
+        head = len(order) - 1
+        while head < len(order):
+            x = order[head]
+            head += 1
+            for y in sorted(nbrs[x]):
+                if not seen[y]:
+                    seen[y] = True
+                    order.append(y)
+    return order
+
+
+def _vertex_generators(graph):
+    """Generators of the vertex automorphism group, by first-in-orbit pruning.
+
+    The base is the search order b_0, b_1, ..., and levels run from the
+    deepest up.  At level i the generators found so far fix b_0..b_i and
+    generate the stabilizer of those points.  Each image w of b_i outside
+    their orbit of b_i gets one search for a first automorphism fixing
+    b_0..b_(i-1) and sending b_i to w; a hit joins the generators and grows
+    the orbit.  The orbit then holds every image of b_i, so by Schreier's
+    lemma level i ends with the stabilizer of b_0..b_(i-1), after at most
+    (orbit length - 1) new generators.
+    """
+    matcher = _VertexMatcher(graph, graph)
+    base = matcher.order
+    for v in base:
+        matcher.assign(v, v)
+    gens = []
+    for i in range(len(base) - 1, -1, -1):
+        b = base[i]
+        matcher.unassign(b)
+        orbit = {b}
+        for w in matcher.candidates(b):
+            if w in orbit or not matcher.fits(b, w):
+                continue
+            matcher.assign(b, w)
+            sigma = matcher.complete(base[i + 1:])
+            matcher.unassign(b)
+            if sigma is not None:
+                gens.append(sigma)
+                orbit = PermGroup(len(base), map(Perm._unchecked, gens)).orbit(b)
+    return gens
 
 
 def _lift_vertex_map(a, b, sigma):
@@ -434,9 +557,8 @@ class GraphAut:
 def automorphism_group(graph):
     """The full automorphism group of the graph, acting on darts."""
     gens = _local_generators(graph)
-    for sigma in _vertex_bijections(graph, graph):
-        if any(s != i for i, s in enumerate(sigma)):
-            gens.append(Perm(_lift_vertex_map(graph, graph, sigma)))
+    for sigma in _vertex_generators(graph):
+        gens.append(Perm(_lift_vertex_map(graph, graph, sigma)))
     return GraphAut(graph, PermGroup(graph.dart_count, gens))
 
 
@@ -466,9 +588,13 @@ def is_admissible(graph):
 
 def find_isomorphism(a, b):
     """A dart bijection a -> b respecting involution and incidence, or None."""
-    for sigma in _vertex_bijections(a, b):
-        return _lift_vertex_map(a, b, sigma)
-    return None
+    if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
+        return None
+    if sorted(a.degrees()) != sorted(b.degrees()):
+        return None
+    matcher = _VertexMatcher(a, b)
+    sigma = matcher.complete(matcher.order)
+    return None if sigma is None else _lift_vertex_map(a, b, sigma)
 
 
 def is_isomorphic(a, b):

@@ -1,13 +1,15 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately naive: brute-force closures, Sylvester
-determinants over Fractions, exhaustive dart-permutation filters, coset
+determinants over Fractions, exhaustive dart-permutation filters, networkx
+vertex automorphisms with the orbit bound they give along a base, coset
 tables (for reconstruction and the even-orbit search), and trial-division
 factorization.  None of it shares code with the package internals it
 checks.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from degenera.perms import Perm
@@ -297,3 +299,56 @@ def random_connected_multigraph(rng, vertex_count, extra_edges, min_degree=None)
             v = short[0]
             edges.append((v, rng.randrange(vertex_count)))
     return DartGraph(vertex_count, edges)
+
+
+def networkx_vertex_automorphisms(graph):
+    """Every multiplicity- and loop-preserving vertex automorphism, as a
+    tuple of images, from networkx's MultiGraphMatcher (imported lazily)."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import MultiGraphMatcher
+
+    ng = nx.MultiGraph()
+    ng.add_nodes_from(range(graph.vertex_count))
+    ng.add_edges_from(graph.edges)
+    return [
+        tuple(m[v] for v in range(graph.vertex_count))
+        for m in MultiGraphMatcher(ng, ng).isomorphisms_iter()
+    ]
+
+
+def dart_group_order(graph, vertex_automorphism_count):
+    """|Aut| on darts from the vertex automorphism count: the kernel of the
+    vertex action permutes each class of m parallel edges (m!) and each
+    class of k loops at a vertex, flipping loops too (k! 2^k)."""
+    order = vertex_automorphism_count
+    for (u, v), edge_ids in graph.parallel_classes().items():
+        k = len(edge_ids)
+        order *= math.factorial(k) * (2**k if u == v else 1)
+    return order
+
+
+def breadth_first_base(graph):
+    """Vertices in breadth-first order from vertex 0, neighbours ascending."""
+    neighbours = [set() for _ in range(graph.vertex_count)]
+    for u, v in graph.edges:
+        if u != v:
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+    order = [0]
+    seen = {0}
+    for x in order:
+        for y in sorted(neighbours[x]):
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    return order
+
+
+def base_orbit_bound(automorphisms, base):
+    """Sum over base levels of (orbit length - 1), each orbit that of b_i
+    under the automorphisms fixing b_0..b_(i-1), read off the full list."""
+    bound = 0
+    for i, b in enumerate(base):
+        fixing = [s for s in automorphisms if all(s[x] == x for x in base[:i])]
+        bound += len({s[b] for s in fixing}) - 1
+    return bound

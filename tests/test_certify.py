@@ -231,9 +231,10 @@ class TestRoundtrip:
             assert sub.vertex_count == 7 and sub.edge_count == 7
 
     def test_witnesses_are_valid(self):
-        from degenera.graphs import check_dart_isomorphism
-
-        for g in (theta_loops(), doubled_cycle(4)):
+        graphs = [circulant_graph(g) for g in range(7, 13)]
+        graphs += [complete_graph(5), theta_loops(), complete_bipartite(4, 4)]
+        graphs += [doubled_cycle(g) for g in range(4, 11)]
+        for g in graphs:
             for rep in roundtrip_report(g):
                 assert check_dart_isomorphism(
                     rep.reconstructed, rep.subgraph, list(rep.witness)
@@ -241,6 +242,13 @@ class TestRoundtrip:
 
     def test_two_loop_bouquet(self):
         assert roundtrip_check(DartGraph(1, [(0, 0), (0, 0)]))
+
+    def test_k7_certifies_and_roundtrips(self):
+        verdict = certify_nonsplit(complete_graph(7))
+        assert verdict.status == CERTIFIED_NONSPLIT
+        assert verdict.g1_order == 5040
+        assert verdict.g2_order == 720
+        assert roundtrip_check(complete_graph(7))
 
     def test_requires_vertex_transitivity(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,17 @@ import json
 import pytest
 
 from degenera.cli import main
-from degenera.graphs import DartGraph, complete_graph, complete_bipartite
+from degenera.certify import roundtrip_report
+from degenera.graphs import (
+    DartGraph,
+    automorphism_group,
+    check_dart_isomorphism,
+    circulant_graph,
+    complete_bipartite,
+    complete_graph,
+    doubled_cycle,
+    theta_loops,
+)
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +99,20 @@ class TestAnalyze:
         assert result["aut_order"] == 120
         assert result["degrees"] == [4, 4, 4, 4, 4]
         assert result["admissible"] is True
+
+    def test_generator_count(self, capsys, tmp_path):
+        g = complete_bipartite(4, 4)
+        path = tmp_path / "k44.graph"
+        path.write_text(g.to_text())
+        count = len(automorphism_group(g).group.generators)
+        assert count <= 7
+        code, report = structured(capsys, "graph", "analyze", str(path))
+        assert code == 0
+        assert report["result"]["aut_order"] == 1152
+        assert report["result"]["aut_generators"] == count
+        code, out, _ = run_cli(capsys, "graph", "analyze", str(path))
+        assert code == 0
+        assert "generators: %d\n" % count in out
 
     def test_structured_output_is_stable(self, capsys):
         _, first = structured(capsys, "graph", "analyze", "--family", "theta-loops")
@@ -198,6 +222,26 @@ class TestRoundtrip:
         for orbit in result["orbits"]:
             assert orbit["isomorphic"] is True
             assert orbit["witness"] is not None
+
+    def test_witnesses_pass_dart_check(self, capsys, tmp_path):
+        # witnesses are checked for validity, not pinned: they follow the
+        # vertex numbering of the rebuilt graph, hence the generators
+        graphs = [circulant_graph(g) for g in range(7, 13)]
+        graphs += [complete_graph(5), theta_loops(), complete_bipartite(4, 4)]
+        graphs += [doubled_cycle(g) for g in range(4, 11)]
+        path = tmp_path / "g.graph"
+        for g in graphs:
+            path.write_text(g.to_text())
+            code, report = structured(capsys, "clutch", "roundtrip", str(path))
+            assert code == 0
+            orbits = report["result"]["orbits"]
+            reports = roundtrip_report(g)
+            assert len(orbits) == len(reports)
+            for orbit, rep in zip(orbits, reports):
+                assert orbit["edges"] == list(rep.edge_orbit)
+                assert check_dart_isomorphism(
+                    rep.reconstructed, rep.subgraph, orbit["witness"]
+                )
 
     def test_non_transitive_rejected(self, capsys, tmp_path):
         path = tmp_path / "k34.graph"

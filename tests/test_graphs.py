@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -21,7 +22,12 @@ from degenera.graphs import (
     theta_loops,
 )
 from helpers import (
+    base_orbit_bound,
+    breadth_first_base,
+    brute_closure,
+    dart_group_order,
     exhaustive_dart_automorphisms,
+    networkx_vertex_automorphisms,
     random_connected_multigraph,
     relabel_graph,
 )
@@ -226,6 +232,80 @@ class TestAutomorphisms:
         vertex_images = {aut.vertex_perm(p).images for p in aut.group.elements()}
         assert count == len(vertex_images) == 6
         assert aut.group.order() == 6 * 2**3
+
+
+def rigid_fixture():
+    return DartGraph(3, [(0, 1)] + [(0, 2)] * 3 + [(1, 2)] * 5)
+
+
+class TestGeneratorSearch:
+    """The small generating set spans the whole group: orders against
+    networkx, generators checked as dart isomorphisms, counts bounded by the
+    orbit lengths along the breadth-first base."""
+
+    @staticmethod
+    def check(graph):
+        aut = automorphism_group(graph)
+        automorphisms = networkx_vertex_automorphisms(graph)
+        order = aut.group.order()
+        assert order == dart_group_order(graph, len(automorphisms))
+        if graph.dart_count <= 8:
+            assert order == len(exhaustive_dart_automorphisms(graph))
+        for p in aut.group.generators:
+            assert check_dart_isomorphism(graph, graph, p.images)
+        moving = [p for p in aut.group.generators if not aut.vertex_perm(p).is_identity()]
+        assert len(moving) <= base_orbit_bound(automorphisms, breadth_first_base(graph))
+        return len(moving)
+
+    def test_families_and_complete_graphs(self):
+        pytest.importorskip("networkx")
+        graphs = [circulant_graph(g) for g in range(7, 13)]
+        graphs += [complete_graph(5), theta_loops(), rigid_fixture()]
+        graphs += [doubled_cycle(g) for g in range(4, 11)]
+        graphs += [complete_graph(6), complete_bipartite(3, 3)]
+        for g in graphs:
+            self.check(g)
+        assert self.check(complete_graph(6)) <= 5
+        assert self.check(complete_bipartite(4, 4)) <= 7
+
+    def test_random_multigraphs(self):
+        pytest.importorskip("networkx")
+        rng = random.Random(5)
+        graphs = [
+            random_connected_multigraph(rng, rng.randint(1, 6), rng.randint(1, 7))
+            for _ in range(20)
+        ]
+        assert any(g.is_loop(k) for g in graphs for k in range(g.edge_count))
+        assert any(
+            len(ids) > 1 for g in graphs for ids in g.parallel_classes().values()
+        )
+        assert any(g.dart_count <= 8 for g in graphs)
+        for g in graphs:
+            self.check(g)
+
+    def test_deep_graph_without_recursion(self):
+        # several hundred vertices, searched with a recursion limit far
+        # below the vertex count
+        rng = random.Random(12)
+        g = doubled_cycle(301)
+        images = list(range(g.vertex_count))
+        rng.shuffle(images)
+        order = list(range(g.edge_count))
+        rng.shuffle(order)
+        h = relabel_graph(g, images, shuffle_edges=order)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            witness = find_isomorphism(g, h)
+            aut = automorphism_group(h)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert check_dart_isomorphism(g, h, witness)
+        vertex_gens = {aut.vertex_perm(p).images for p in aut.group.generators}
+        vertex_gens.discard(tuple(range(h.vertex_count)))
+        # the dihedral group of the 300-cycle
+        assert len(brute_closure(list(vertex_gens))) == 600
+        assert len(aut.group.generators) == len(vertex_gens) + 300
 
 
 class TestTransitivityAndOrbits:
