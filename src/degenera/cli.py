@@ -9,7 +9,8 @@ fields are stable across runs except for the timing entry.
 
 Exit codes: 0 on success (including a certified verdict), 1 when the run
 completed but did not certify (NOT_CERTIFIED, SPLITS_TRIVIALLY, failed
-roundtrip, witnesses not found), 2 on input or validation errors.
+roundtrip, witnesses not found), 2 on input or validation errors and when
+memory runs out.  A closed stdout does not change the exit code.
 
 The environment variable DEGENERA_CAP, a positive integer, overrides the
 cap on vertex stabilizer elements enumerated by the search in `certify`;
@@ -363,23 +364,29 @@ def main(argv=None):
     except (ValueError, EnumerationCapError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller input", file=sys.stderr)
+        return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     label = _command_label(args)
-    if args.format == "structured":
-        report = {
-            "command": label,
-            "input": info,
-            "result": result,
-            "timing_ms": round(elapsed_ms, 3),
-            "version": __version__,
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print("degenera %s" % label)
-        print("input: %s" % _describe_input(info))
-        for line in lines:
-            print(line)
-        print("elapsed: %.1f ms" % elapsed_ms)
+    try:
+        if args.format == "structured":
+            report = {
+                "command": label,
+                "input": info,
+                "result": result,
+                "timing_ms": round(elapsed_ms, 3),
+                "version": __version__,
+            }
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            print("degenera %s" % label)
+            print("input: %s" % _describe_input(info))
+            for line in lines:
+                print(line)
+            print("elapsed: %.1f ms" % elapsed_ms)
+    except BrokenPipeError:
+        pass  # the reader is gone; the run's exit status still stands
     return code
 
 
@@ -394,7 +401,19 @@ def _describe_input(info):
 
 
 def run():
-    sys.exit(main())
+    """Console entry point.
+
+    When the reader closes the pipe early (`| head -1`), stdout is pointed
+    at os.devnull, so the flush at interpreter exit cannot raise again, and
+    the command's exit status is kept (the "Note on SIGPIPE" recipe in the
+    Python documentation of the signal module).
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

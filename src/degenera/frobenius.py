@@ -8,11 +8,17 @@ group of the splitting field over the rationals; the census estimates the
 Chebotarev densities of the patterns.
 
 Only degree patterns are computed, never the factors themselves, via
-distinct-degree splitting: x^(p^d) mod f by square-and-multiply for d = 1,
-then modular composition for higher d (Frobenius commutes with polynomial
-composition over GF(p)).  Every reduction in GF(p)[x] goes through one
-remainder by a monic polynomial.  Primes are kept below 2^31; Python
-integers give exact double-width intermediates for free.
+distinct-degree splitting.  The powers x^(p^d) mod f live in the ring
+GF(p)[x]/(f mod p) with each residue packed into one Python int, a slot of
+k bits per coefficient (Kronecker substitution): a product there is a
+fixed number of bigint operations, one product plus Barrett reductions
+slot-wise mod p and polynomial-wise mod f, with no loop over coefficients.
+x^p comes from a square-and-multiply ladder, and x^(p^(d+1)) from x^(p^d)
+by Horner composition with x^p (Frobenius commutes with composition over
+GF(p)).  Each power is unpacked once, for its gcd with the factor still
+unsplit; the gcds and exact divisions run on coefficient lists through one
+remainder by a monic polynomial.  Primes are kept below 2^31, which bounds
+the slot width (see `_PackedRing`).
 
 The census, the witness search and the galois search share one per-prime
 loop: it sieves once, computes disc(f) once, and counts the primes dividing
@@ -127,12 +133,13 @@ def primes_upto(bound):
         raise ValueError("bound %d must be below 2^31" % bound)
     if bound < 2:
         return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
+    # 1 marks a composite; a failed bytearray repeat prints a stray
+    # SystemError line on CPython 3.11, the zero-filled constructor does not
+    sieve = bytearray(bound + 1)
     for i in range(2, int(bound**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray((bound - i * i) // i + 1)
-    return [i for i in range(2, bound + 1) if sieve[i]]
+        if not sieve[i]:
+            sieve[i * i :: i] = b"\x01" * ((bound - i * i) // i + 1)
+    return [i for i in range(2, bound + 1) if not sieve[i]]
 
 
 def is_prime(n):
@@ -280,7 +287,7 @@ def _gcd_mod(a, b, p):
 
 
 def _divexact_mod(a, b, p):
-    """Quotient a / b in GF(p)[x] for monic b dividing a exactly."""
+    """Quotient a / b in GF(p)[x] for monic b; exact when b divides a."""
     a = list(a)
     out = [0] * (len(a) - len(b) + 1)
     for shift in range(len(a) - len(b), -1, -1):
@@ -292,58 +299,125 @@ def _divexact_mod(a, b, p):
     return out
 
 
-def _mulmod(a, b, f, p):
-    """a * b reduced by monic f, all in GF(p)[x]."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _rem_mod(prod, f, p)
+class _PackedRing:
+    """GF(p)[x]/(fbar) with each residue packed into one Python int.
 
+    Coefficient i of a residue lives in bits [k*i, k*(i+1)), its slot, so a
+    polynomial product is one bigint product (Kronecker substitution) as
+    long as no slot overflows.  Slots are reduced lazily: a residue's slots
+    lie in [0, 2p), and only `unpack` takes them down to [0, p).
 
-def _xpow_mod(f, p):
-    """x^p mod f by square-and-multiply; multiplying by x is a shift."""
-    h = _rem_mod([0, 1], f, p)
-    for bit in bin(p)[3:]:
-        h = _mulmod(h, h, f, p)
-        if bit == "1":
-            h = _rem_mod([0] + h, f, p)
-    return h
+    Slot-wise Barrett step.  For a slot x < 2^s and m = floor(2^s / p), the
+    quotient t = floor(x*m / 2^s) satisfies floor(x/p) - 1 <= t <= x/p, so
+    x - t*p lies in [0, 2p).  Every slot at once: multiply by m, shift right
+    by s, keep the low k - s bits of each slot, multiply by p and subtract.
+    The slots do not interfere as long as x*m < 2^k for every slot x.
 
+    Polynomial Barrett step (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 9.1).  For S of degree <= 2n-2 write S = lo + x^n*hi with
+    deg lo < n.  With mu = floor(x^(2n-2) / fbar), the quotient of S by
+    fbar is exactly q = floor(hi*mu / x^(n-2)) over GF(p), and the
+    remainder is lo + lo(q*g), where g = x^n - fbar has degree < n.
 
-def _compose_mod(outer, inner, f, p):
-    """outer(inner) mod f by Horner over the outer coefficients."""
-    out = []
-    for c in reversed(outer):
-        out = _mulmod(out, inner, f, p) if out else []
-        if c:
-            if out:
-                out[0] = (out[0] + c) % p
-            else:
-                out = [c % p]
-    return out
+    Largest slot value before each Barrett step of `mul(a, b)`, where a's
+    slots are at most 3p-1 (a Horner accumulator: 2p-1 from `mul` plus a
+    coefficient below p) and b's at most 2p-1; mu and g have slots below p:
+      a*b            n*(3p-1)*(2p-1)      (n terms in the middle slot)
+      hi*mu          (n-1)*(2p-1)*(p-1)
+      lo + lo(q*g)   (2p-1) + (n-1)*(2p-1)*(p-1)
+    and in `mulx`, (2p-1) + (2p-1)*(p-1).  The first, `top`, is the largest,
+    so s = bit length of top gives every slot x < 2^s, and k = bit length of
+    top*m gives x*m < 2^k.  For n = 16 and p = 2^31 - 1, s = 69 and k = 107.
+    """
+
+    __slots__ = (
+        "p", "n", "k", "s", "m", "qmask", "lomask", "hi_shift", "q_shift", "mu", "g"
+    )
+
+    def __init__(self, fbar, p):
+        n = len(fbar) - 1
+        top = n * (3 * p - 1) * (2 * p - 1)
+        self.p, self.n = p, n
+        self.s = top.bit_length()
+        self.m = (1 << self.s) // p
+        self.k = k = (top * self.m).bit_length()
+        # low k - s bits of each of the 2n - 1 slots of a product
+        self.qmask = ((1 << k * (2 * n - 1)) - 1) // ((1 << k) - 1) * (
+            (1 << k - self.s) - 1
+        )
+        self.lomask = (1 << k * n) - 1
+        self.hi_shift, self.q_shift = k * n, k * (n - 2)
+        mu = _divexact_mod([0] * (2 * n - 2) + [1], fbar, p)
+        self.mu = self.pack(mu)
+        self.g = self.pack([-c % p for c in fbar[:-1]])
+
+    def pack(self, coeffs):
+        k = self.k
+        return sum(c << k * i for i, c in enumerate(coeffs))
+
+    def unpack(self, a):
+        """Coefficient list in [0, p) without trailing zeros."""
+        k, p = self.k, self.p
+        slot = (1 << k) - 1
+        out = [(a >> k * i & slot) % p for i in range(self.n)]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    def mul(self, a, b):
+        """a*b mod fbar; a's slots at most 3p-1, b's at most 2p-1."""
+        p, s, m, qmask, lomask = self.p, self.s, self.m, self.qmask, self.lomask
+        c = a * b
+        c -= (c * m >> s & qmask) * p
+        q = (c >> self.hi_shift) * self.mu >> self.q_shift
+        q -= (q * m >> s & qmask) * p
+        r = (c & lomask) + (q * self.g & lomask)
+        return r - (r * m >> s & qmask) * p
+
+    def mulx(self, a):
+        """x*a mod fbar; a's slots at most 2p-1."""
+        p, s, m, k = self.p, self.s, self.m, self.k
+        r = (a << k & self.lomask) + (a >> self.hi_shift - k) * self.g
+        return r - (r * m >> s & self.qmask) * p
+
+    def xpow(self):
+        """x^p by square-and-multiply, for n >= 2."""
+        h = 1 << self.k
+        for bit in bin(self.p)[3:]:
+            h = self.mul(h, h)
+            if bit == "1":
+                h = self.mulx(h)
+        return h
+
+    def compose(self, outer, inner):
+        """outer(inner) by Horner; outer is a nonempty list in [0, p)."""
+        acc = outer[-1]
+        for c in outer[-2::-1]:
+            acc = self.mul(acc, inner) + c
+        return acc
 
 
 def _pattern_of_squarefree(fbar, p):
     """Distinct-degree splitting of a monic squarefree fbar in GF(p)[x].
 
-    x^p mod f comes from one square-and-multiply ladder; the higher powers
-    x^(p^d) come from modular composition, since substitution into a
-    polynomial over GF(p) commutes with the Frobenius power map.
+    x^p mod fbar comes from one square-and-multiply ladder; the higher
+    powers x^(p^d) come from composing x^(p^(d-1)) with x^p, since
+    substitution into a polynomial over GF(p) commutes with the Frobenius
+    power map.  Both stay modulo the original fbar: the gcd with the
+    shrinking factor `current` is the same either way.
     """
     n = len(fbar) - 1
     if n <= 1:
         return (1,) * n
+    ring = _PackedRing(fbar, p)
     degrees = []
     current = fbar
-    frob = _xpow_mod(current, p)
+    frob = ring.xpow()
     power = frob
     d = 1
     while 2 * d <= len(current) - 1:
-        minus_x = list(power)
-        if len(minus_x) < 2:
-            minus_x += [0] * (2 - len(minus_x))
+        coeffs = ring.unpack(power)
+        minus_x = coeffs + [0] * (2 - len(coeffs))
         minus_x[1] = (minus_x[1] - 1) % p
         part = _gcd_mod(minus_x, current, p)
         if len(part) > 1:
@@ -351,12 +425,10 @@ def _pattern_of_squarefree(fbar, p):
             current = _divexact_mod(current, part, p)
             if len(current) == 1:
                 return tuple(sorted(degrees, reverse=True))
-            frob = _rem_mod(frob[:], current, p)
-            power = _rem_mod(power[:], current, p)
         d += 1
         if 2 * d > len(current) - 1:
             break
-        power = _compose_mod(power, frob, current, p)
+        power = ring.compose(coeffs, frob)
     degrees.append(len(current) - 1)
     return tuple(sorted(degrees, reverse=True))
 

@@ -1,7 +1,13 @@
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import degenera
+from degenera import frobenius
 from degenera.cli import main
 from degenera.certify import roundtrip_report
 from degenera.graphs import (
@@ -366,6 +372,71 @@ class TestFrobenius:
             "patterns": ["1.1.1.1", "2.1.1", "2.2", "3.1", "4"],
             "symmetric_group_certified": True,
         }
+
+
+def run_into_closed_pipe(*argv):
+    """Run the console entry point with stdout a pipe whose read end is
+    closed before the child starts, so its first write fails with EPIPE."""
+    src_dir = os.path.dirname(os.path.dirname(degenera.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src_dir] + [p for p in (env.get("PYTHONPATH"),) if p]
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from degenera.cli import run; run()", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+class BrokenStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (("frobenius", "census", "x^4-x-1", "--bound", "1000", "--format", "structured"), 0),
+            (("frobenius", "witness", "x^3-2", "--bound", "100"), 1),
+            (("certify", "--family", "k5", "--format", "structured"), 0),
+        ],
+        ids=["census", "witness-not-found", "certify"],
+    )
+    def test_closed_pipe_keeps_status_without_traceback(self, argv, status):
+        # no "Traceback", no "Exception ignored" line: nothing at all
+        code, err = run_into_closed_pipe(*argv)
+        assert code == status
+        assert err == ""
+
+    def test_write_failure_inside_main_keeps_status(self, monkeypatch):
+        # a report longer than the stdout buffer fails inside print itself
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        assert main(["frobenius", "witness", "x^3-2", "--bound", "100"]) == 1
+        assert main(["frobenius", "census", "x^2+1", "--bound", "100"]) == 0
+
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        def exhausted(bound):
+            raise MemoryError()
+
+        monkeypatch.setattr(frobenius, "primes_upto", exhausted)
+        code, out, err = run_cli(
+            capsys, "frobenius", "census", "x^4-x-1", "--bound", "2000000000"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
 
 class TestEnumerationCap:

@@ -18,7 +18,7 @@ from degenera.frobenius import (
     primes_upto,
     resultant,
 )
-from degenera.frobenius import _rem_mod
+from degenera.frobenius import _PackedRing, _rem_mod
 from degenera.perms import CosetAction, Perm, group_from_generators
 from helpers import (
     sylvester_resultant,
@@ -298,6 +298,112 @@ class TestRemMod:
             dividend = gf_strip(list(reversed(a)))
             expect = list(reversed(gf_rem(dividend, list(reversed(f)), p, ZZ)))
             assert _rem_mod(list(a), f, p) == expect
+
+
+LARGEST_PRIME = 2**31 - 1
+
+
+def schoolbook_mulmod(a, b, f, p):
+    """a*b mod monic f in GF(p)[x] by the plain double loop."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    return _rem_mod(prod, f, p)
+
+
+def slots_of(ring, packed):
+    """The slot values of a packed residue, checked to lie in [0, 2p)."""
+    k, n, p = ring.k, ring.n, ring.p
+    slots = [packed >> k * i & ((1 << k) - 1) for i in range(n)]
+    assert sum(x << k * i for i, x in enumerate(slots)) == packed
+    assert all(0 <= x < 2 * p for x in slots)
+    return slots
+
+
+def reduced(coeffs, p):
+    out = [c % p for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+class TestPackedRing:
+    """Packed products against the schoolbook product plus `_rem_mod`,
+    with every input slot at the largest value the ring admits."""
+
+    @staticmethod
+    def moduli(rng, n, p):
+        # all-ones makes every slot of g = x^n - fbar equal p - 1
+        yield [1] * (n + 1)
+        yield [rng.randrange(p) for _ in range(n)] + [1]
+
+    def test_products_at_slot_bounds(self):
+        rng = random.Random(33)
+        for p in (2, 3, 65521, LARGEST_PRIME):
+            for n in range(2, 17):
+                for fbar in self.moduli(rng, n, p):
+                    ring = _PackedRing(fbar, p)
+                    rand = [rng.randrange(2 * p) for _ in range(n)]
+                    cases = [
+                        ([3 * p - 1] * n, [2 * p - 1] * n),
+                        ([2 * p - 1] * n, [2 * p - 1] * n),
+                        ([3 * p - 1] + rand[1:], rand),
+                    ]
+                    for a, b in cases:
+                        got = slots_of(ring, ring.mul(ring.pack(a), ring.pack(b)))
+                        expect = schoolbook_mulmod(reduced(a, p), reduced(b, p), fbar, p)
+                        assert reduced(got, p) == expect, (p, n, a, b)
+                    for a in ([2 * p - 1] * n, rand):
+                        got = slots_of(ring, ring.mulx(ring.pack(a)))
+                        expect = _rem_mod([0] + reduced(a, p), fbar, p)
+                        assert reduced(got, p) == expect, (p, n, a)
+
+    def test_ladder_and_composition(self):
+        rng = random.Random(34)
+        for p in (2, 3, 65521, LARGEST_PRIME):
+            for n in range(2, 17):
+                for fbar in self.moduli(rng, n, p):
+                    ring = _PackedRing(fbar, p)
+                    frob = ring.xpow()
+                    h = [1]
+                    for bit in bin(p)[2:]:
+                        h = schoolbook_mulmod(h, h, fbar, p)
+                        if bit == "1":
+                            h = _rem_mod([0] + h, fbar, p)
+                    assert reduced(slots_of(ring, frob), p) == h
+                    outer = [p - 1] * n
+                    expect = [p - 1]
+                    for c in outer[-2::-1]:
+                        expect = schoolbook_mulmod(expect, h, fbar, p)
+                        expect = reduced([expect[0] + c if expect else c] + expect[1:], p)
+                    got = ring.compose(outer, frob)
+                    assert ring.unpack(got) == expect, (p, n)
+
+
+class TestTopOfPrimeRange:
+    """degree_pattern against sympy where the packed slots are widest."""
+
+    def test_random_polynomials_near_prime_limit(self):
+        pytest.importorskip("sympy")
+        rng = random.Random(35)
+        top = [p for p in range(2**31 - 400, 2**31) if is_prime(p)]
+        cases = 0
+        while cases < 60:
+            degree = rng.randint(2, 16)
+            f = IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [1])
+            if discriminant(f) == 0:
+                continue
+            # one large prime per polynomial (sympy's cost is there), each in turn
+            for p in (top[cases % len(top)], 2, 3, 5):
+                assert degree_pattern(f, p) == sympy_degree_pattern(f.coeffs, p), (f, p)
+            cases += 1
+
+    def test_degree_forty(self):
+        pytest.importorskip("sympy")
+        f = parse_poly("x^40-x-1")
+        for p in (97, 1000003, LARGEST_PRIME):
+            assert degree_pattern(f, p) == sympy_degree_pattern(f.coeffs, p), p
 
 
 class TestCensus:
