@@ -9,8 +9,9 @@ fields are stable across runs except for the timing entry.
 
 Exit codes: 0 on success (including a certified verdict), 1 when the run
 completed but did not certify (NOT_CERTIFIED, SPLITS_TRIVIALLY, failed
-roundtrip, witnesses not found), 2 on input or validation errors and when
-memory runs out.  A closed stdout does not change the exit code.
+roundtrip, witnesses not found), 2 on input or validation errors, when
+memory runs out and when a worker process of `frobenius census|galois`
+cannot start or fails.  A closed stdout does not change the exit code.
 
 The environment variable DEGENERA_CAP, a positive integer, overrides the
 cap on vertex stabilizer elements enumerated by the search in `certify`;
@@ -361,7 +362,7 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         info, result, lines, code = handlers[args.command](args, cap)
-    except (ValueError, EnumerationCapError) as exc:
+    except (ValueError, EnumerationCapError, ChildProcessError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError:

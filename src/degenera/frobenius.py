@@ -17,18 +17,26 @@ x^p comes from a square-and-multiply ladder, and x^(p^(d+1)) from x^(p^d)
 by Horner composition with x^p (Frobenius commutes with composition over
 GF(p)).  Each power is unpacked once, for its gcd with the factor still
 unsplit; the gcds and exact divisions run on coefficient lists through one
-remainder by a monic polynomial.  Primes are kept below 2^31, which bounds
-the slot width (see `_PackedRing`).
+remainder by a monic polynomial, and each Euclid step makes its divisor
+monic with a single inverse.  Primes are kept below 2^31, which bounds the
+slot width (see `_PackedRing`).
 
 The census, the witness search and the galois search share one per-prime
-loop: it sieves once, computes disc(f) once, and counts the primes dividing
-disc(f)·lc(f) as ramified.  `degree_pattern` stays a separate single-prime
-path with its own primality and gcd(f, f') tests, so certificates and the
-test oracles check the loop independently.
+function: the sieve and disc(f) are computed once, and the primes dividing
+disc(f)·lc(f) count as ramified.  The census and the galois search split
+their primes across the CPUs this process may run on (its affinity mask,
+so `taskset` limits them): forked children each take an interleaved share
+and send back only a pattern tally, which merges into exactly what one
+scan would give.  The witness search stays a lazy scan that stops at the
+second all-even prime.  `degree_pattern` stays a separate single-prime path
+with its own primality and gcd(f, f') tests, so certificates and the test
+oracles check the loop independently.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import re
 from dataclasses import dataclass
 from itertools import islice
@@ -278,11 +286,23 @@ def _rem_mod(a, f, p):
 
 
 def _gcd_mod(a, b, p):
-    """Monic gcd in GF(p)[x]; inputs are coefficient lists."""
-    a = _monic_mod(a, p)
-    b = _monic_mod(b, p)
+    """Monic gcd in GF(p)[x] of coefficient lists with entries in 0..p-1.
+
+    Each step makes the divisor monic with one inverse and takes the
+    remainder in place; remainders come back reduced, so nothing is
+    reduced mod p twice.
+    """
+    a = list(a)
+    b = list(b)
+    while b and b[-1] == 0:
+        b.pop()
+    if not b:
+        return _monic_mod(a, p)
     while b:
-        a, b = b, _monic_mod(_rem_mod(a, b, p), p)
+        if b[-1] != 1:
+            inv = pow(b[-1], -1, p)
+            b = [c * inv % p for c in b]
+        a, b = b, _rem_mod(a, b, p)
     return a
 
 
@@ -404,7 +424,9 @@ def _pattern_of_squarefree(fbar, p):
     powers x^(p^d) come from composing x^(p^(d-1)) with x^p, since
     substitution into a polynomial over GF(p) commutes with the Frobenius
     power map.  Both stay modulo the original fbar: the gcd with the
-    shrinking factor `current` is the same either way.
+    shrinking factor `current` is the same either way.  Once the factor
+    left over has degree below 2d it is irreducible, so the last quotient
+    is never formed, only its degree.
     """
     n = len(fbar) - 1
     if n <= 1:
@@ -415,21 +437,22 @@ def _pattern_of_squarefree(fbar, p):
     frob = ring.xpow()
     power = frob
     d = 1
-    while 2 * d <= len(current) - 1:
+    while True:
         coeffs = ring.unpack(power)
         minus_x = coeffs + [0] * (2 - len(coeffs))
         minus_x[1] = (minus_x[1] - 1) % p
         part = _gcd_mod(minus_x, current, p)
+        rest = len(current) - len(part)  # degree of current / part
         if len(part) > 1:
             degrees.extend([d] * ((len(part) - 1) // d))
-            current = _divexact_mod(current, part, p)
-            if len(current) == 1:
-                return tuple(sorted(degrees, reverse=True))
         d += 1
-        if 2 * d > len(current) - 1:
+        if 2 * d > rest:
             break
+        if len(part) > 1:
+            current = _divexact_mod(current, part, p)
         power = ring.compose(coeffs, frob)
-    degrees.append(len(current) - 1)
+    if rest:
+        degrees.append(rest)
     return tuple(sorted(degrees, reverse=True))
 
 
@@ -446,7 +469,8 @@ def degree_pattern(f, p):
     if f.leading % p == 0:
         raise ValueError("prime %d divides the leading coefficient" % p)
     fbar = _monic_mod(f.coeffs, p)
-    if len(_gcd_mod(fbar, f.derivative_coeffs(), p)) > 1:
+    fprime = [c % p for c in f.derivative_coeffs()]
+    if len(_gcd_mod(fbar, fprime, p)) > 1:
         return None
     return _pattern_of_squarefree(fbar, p)
 
@@ -491,38 +515,154 @@ class CensusResult:
         }
 
 
-def _patterns(f, bound):
-    """(p, pattern) for each prime p <= bound; the pattern is None when ramified.
+def _prime_loop(f, bound):
+    """The primes p <= bound and the per-prime pattern function of f.
 
-    The sieve and disc(f) are computed before the first prime is yielded, so
-    a bound at the prime limit or a non-squarefree f fails at once.  For
-    monic f the ramified primes are exactly those dividing the discriminant,
-    so they are split off by divisibility and the per-prime work stays on the
-    squarefree path.  Primes dividing the leading coefficient of a non-monic
-    f also count as ramified, since the pattern is undefined for them.
+    The function maps p to the degree pattern of f mod p, or to None when p
+    is ramified.  The sieve and disc(f) are computed here, before any prime
+    is tried, so a bound at the prime limit or a non-squarefree f fails at
+    once.  For monic f the ramified primes are exactly those dividing the
+    discriminant, so they are split off by divisibility and the per-prime
+    work stays on the squarefree path.  Primes dividing the leading
+    coefficient of a non-monic f also count as ramified, since the pattern
+    is undefined for them.
     """
     plist = primes_upto(bound)
     disc = discriminant(f)
     if disc == 0:
         raise ValueError("polynomial is not squarefree (discriminant 0)")
     disc_lead = disc * f.leading
-    return (
-        (p, _pattern_of_squarefree(_monic_mod(f.coeffs, p), p) if disc_lead % p else None)
-        for p in plist
-    )
+
+    def pattern(p):
+        if disc_lead % p == 0:
+            return None
+        return _pattern_of_squarefree(_monic_mod(f.coeffs, p), p)
+
+    return plist, pattern
+
+
+def _usable_cpus():
+    """CPUs this process may run on; 1 without fork or an affinity mask."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _fork_share(work, share):
+    """Start a child that sends marshal(work(share)) down a pipe.
+
+    Returns (pid, read end of the pipe).  The child leaves only through
+    os._exit, with status 0 once its result is written and 1 on any
+    exception, so it never returns into the caller, flushes the parent's
+    stdio buffers or runs its exit hooks.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = marshal.dumps(work(share))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _map_shares(work, items):
+    """[work(items[j::jobs]) for j in range(jobs)], one job per usable CPU.
+
+    Share 0 runs in this process and share j > 0 in a forked child, so work
+    may be a closure; its results must be marshal-able.  There are never
+    more jobs than items.  A child that cannot be started, fails or is
+    killed makes this raise ChildProcessError.  Every child is reaped before
+    this returns or raises; when this raises, the children still running
+    are killed first.  The package starts no threads, so the fork copies a
+    process in which no other thread can hold a lock.
+    """
+    jobs = max(1, min(_usable_cpus(), len(items)))
+    children = []
+    try:
+        for j in range(1, jobs):
+            try:
+                children.append(_fork_share(work, items[j::jobs]))
+            except OSError as exc:
+                raise ChildProcessError(
+                    "cannot start a worker process: %s" % exc.strerror
+                ) from exc
+        results = [work(items[::jobs])]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code < 0:
+                raise ChildProcessError("worker process killed by signal %d" % -code)
+            if code:
+                raise ChildProcessError("worker process failed (exit status %d)" % code)
+            results.append(marshal.loads(payload))
+        return results
+    finally:
+        for pid, pipe in children:
+            import signal  # only on this error path, not at every import
+
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _tally(f, bound):
+    """Pattern tally and ramified primes over all primes p <= bound.
+
+    Returns ({pattern: [count, first prime]}, ramified primes ascending).
+    The primes are split across the usable CPUs (`_map_shares`), and each
+    share sends back only its tally; the first prime of each pattern lets
+    the shares merge into what one ascending scan would give.
+    """
+    plist, pattern = _prime_loop(f, bound)
+
+    def share_tally(primes):
+        tally, ramified = {}, []
+        for p in primes:
+            pat = pattern(p)
+            if pat is None:
+                ramified.append(p)
+            elif pat in tally:
+                tally[pat][0] += 1
+            else:
+                tally[pat] = [1, p]
+        return tally, ramified
+
+    tally, ramified = {}, []
+    for share, share_ramified in _map_shares(share_tally, plist):
+        ramified += share_ramified
+        for pat, (count, first) in share.items():
+            entry = tally.setdefault(pat, [0, first])
+            entry[0] += count
+            entry[1] = min(entry[1], first)
+    if not tally:
+        raise ValueError("no unramified prime up to %d" % bound)
+    return tally, sorted(ramified)
 
 
 def census(f, bound=DEFAULT_CENSUS_BOUND):
-    """Degree patterns over all primes <= bound, counted per pattern."""
-    counts = {}
-    ramified = []
-    for p, pat in _patterns(f, bound):
-        if pat is None:
-            ramified.append(p)
-        else:
-            counts[pat] = counts.get(pat, 0) + 1
-    if not counts:
-        raise ValueError("no unramified prime up to %d" % bound)
+    """Degree patterns over all primes <= bound, counted per pattern.
+
+    Patterns are keyed in the order of the first prime showing each.
+    """
+    tally, ramified = _tally(f, bound)
+    counts = {
+        pat: entry[0] for pat, entry in sorted(tally.items(), key=lambda kv: kv[1][1])
+    }
     return CensusResult(
         poly=f,
         bound=bound,
@@ -568,12 +708,12 @@ def find_even_witnesses(f, bound=DEFAULT_WITNESS_BOUND):
     bound and the discriminant have been checked.
     """
     _require_monic(f)
-    patterns = _patterns(f, bound)
+    plist, pattern = _prime_loop(f, bound)
     if f.degree % 2 == 1:
         return None
     even = (
         (p, pat)
-        for p, pat in patterns
+        for p, pat in zip(plist, map(pattern, plist))
         if pat is not None and not any(d % 2 for d in pat)
     )
     found = list(islice(even, 2))
@@ -586,7 +726,7 @@ def find_even_witnesses(f, bound=DEFAULT_WITNESS_BOUND):
 def galois_cycle_witnesses(f, bound=DEFAULT_WITNESS_BOUND):
     """Set of unramified degree patterns observed for primes <= bound."""
     _require_monic(f)
-    return {pat for _, pat in _patterns(f, bound) if pat is not None}
+    return set(_tally(f, bound)[0])
 
 
 def certifies_symmetric_group(patterns, n):

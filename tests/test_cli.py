@@ -1,8 +1,11 @@
+import errno
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -335,6 +338,15 @@ class TestFrobenius:
         assert out == ""
         assert err == "error: no unramified prime up to 2\n"
 
+    @pytest.mark.parametrize("bound", ["1", "-5"])
+    def test_galois_without_unramified_prime_rejected(self, capsys, bound):
+        code, out, err = run_cli(
+            capsys, "frobenius", "galois", "x^4-x-1", "--bound", bound
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: no unramified prime up to %s\n" % bound
+
     def test_odd_degree_witness_checks_bound(self, capsys):
         code, out, err = run_cli(
             capsys, "frobenius", "witness", "x^3-2", "--bound", str(2**31)
@@ -374,14 +386,20 @@ class TestFrobenius:
         }
 
 
-def run_into_closed_pipe(*argv):
-    """Run the console entry point with stdout a pipe whose read end is
-    closed before the child starts, so its first write fails with EPIPE."""
+def subprocess_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     src_dir = os.path.dirname(os.path.dirname(degenera.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src_dir] + [p for p in (env.get("PYTHONPATH"),) if p]
     )
+    return env
+
+
+def run_into_closed_pipe(*argv):
+    """Run the console entry point with stdout a pipe whose read end is
+    closed before the child starts, so its first write fails with EPIPE."""
+    env = subprocess_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -478,3 +496,124 @@ class TestEnumerationCap:
     def test_generous_cap_is_harmless(self, capsys, monkeypatch):
         monkeypatch.setenv("DEGENERA_CAP", "100000")
         assert run_cli(capsys, "certify", "--family", "k5")[0] == 0
+
+
+def raise_runtime_error():
+    raise RuntimeError("boom")
+
+
+def raise_memory_error():
+    raise MemoryError()
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestShardedPrimeLoop:
+    """census and galois fork one child per CPU in the affinity mask after
+    the first; two CPUs are set here, so the children exist on any machine."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @pytest.mark.parametrize("command", ["census", "galois"])
+    @pytest.mark.parametrize(
+        "failure, message",
+        [
+            (raise_runtime_error, "worker process failed (exit status 1)"),
+            (raise_memory_error, "worker process failed (exit status 1)"),
+            (kill_self, "worker process killed by signal 9"),
+        ],
+        ids=["exception", "memory-error", "killed"],
+    )
+    def test_child_failure_exits_2(self, capsys, monkeypatch, command, failure, message):
+        parent = os.getpid()
+        real = frobenius._pattern_of_squarefree
+
+        def failing_in_children(fbar, p):
+            if os.getpid() != parent:
+                failure()
+            return real(fbar, p)
+
+        monkeypatch.setattr(frobenius, "_pattern_of_squarefree", failing_in_children)
+        code, out, err = run_cli(
+            capsys, "frobenius", command, "x^4-x-1", "--bound", "1000"
+        )
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+        assert_no_child_left()
+
+    def test_fork_failure_exits_2(self, capsys, monkeypatch):
+        real_pipe = os.pipe
+        pipes = []
+
+        def recording_pipe():
+            pipes.append(real_pipe())
+            return pipes[-1]
+
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, out, err = run_cli(
+            capsys, "frobenius", "census", "x^4-x-1", "--bound", "1000"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: cannot start a worker process: %s\n" % os.strerror(
+            errno.EAGAIN
+        )
+        assert len(pipes) == 1
+        for fd in pipes[0]:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_failure_here_kills_and_reaps_children(self, capsys, monkeypatch):
+        # a child that would run for a minute is killed, not waited for
+        parent = os.getpid()
+
+        def slow_children(fbar, p):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise MemoryError()
+
+        monkeypatch.setattr(frobenius, "_pattern_of_squarefree", slow_children)
+        began = time.monotonic()
+        code, out, err = run_cli(
+            capsys, "frobenius", "census", "x^4-x-1", "--bound", "1000"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory; try a smaller input\n"
+        assert time.monotonic() - began < 30
+        assert_no_child_left()
+
+    def test_report_printed_once(self):
+        # a line is left in the stdout buffer before the fork (stdout to a
+        # pipe is block-buffered without PYTHONUNBUFFERED); a child that
+        # flushed it, or returned into the CLI, would print it again
+        env = subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        script = (
+            "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "sys.stdout.write('written before the fork\\n'); "
+            "from degenera.cli import run; run()"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "frobenius", "census", "x^4-x-1",
+             "--bound", "10000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.count("written before the fork") == 1
+        assert proc.stdout.count("degenera frobenius census") == 1
+        assert proc.stdout.count("all-even fraction") == 1

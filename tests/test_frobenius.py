@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from degenera.frobenius import (
     primes_upto,
     resultant,
 )
-from degenera.frobenius import _PackedRing, _rem_mod
+from degenera.frobenius import _PackedRing, _gcd_mod, _rem_mod
 from degenera.perms import CosetAction, Perm, group_from_generators
 from helpers import (
     sylvester_resultant,
@@ -219,6 +220,43 @@ class TestDegreePattern:
     def test_large_prime(self):
         assert degree_pattern(GAUSSIAN, 2147483647) == (2,)
 
+    def test_derivative_vanishes_mod_p(self):
+        # f' = 3x^2 is 0 mod 3, so gcd(f, f') = f: x^3 + 1 = (x + 1)^3 mod 3
+        assert degree_pattern(IntPoly((1, 0, 0, 1)), 3) is None
+
+    def test_constant_derivative(self):
+        # f' = 5x^4 - 1 is the constant -1 mod 5; x^5 - x - 1 is irreducible
+        assert degree_pattern(parse_poly("x^5-x-1"), 5) == (5,)
+
+    def test_last_gcd_splits(self):
+        # a product of two distinct irreducibles of degrees d and d or d + 1:
+        # the gcd at stage d takes the last factor of degree d, and what is
+        # left (nothing, or one factor of degree d + 1) is never divided out
+        pytest.importorskip("sympy")
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_irreducible_p, gf_mul
+
+        rng = random.Random(37)
+        cases = 0
+        for p in (3, 5, 7, 65521):
+
+            def irreducible(degree, avoid=None):
+                while True:
+                    g = [ZZ(1)] + [ZZ(rng.randrange(p)) for _ in range(degree)]
+                    if g != avoid and gf_irreducible_p(g, p, ZZ):
+                        return g
+
+            for d in range(1, 6):
+                for extra in (0, 1):
+                    u = irreducible(d)
+                    v = irreducible(d + extra, avoid=u)
+                    f = IntPoly([int(c) for c in reversed(gf_mul(u, v, p, ZZ))])
+                    expect = tuple(sorted((d, d + extra), reverse=True))
+                    assert sympy_degree_pattern(f.coeffs, p) == expect
+                    assert degree_pattern(f, p) == expect, (p, f)
+                    cases += 1
+        assert cases == 40
+
     def test_rejects_bad_primes(self):
         with pytest.raises(ValueError):
             degree_pattern(GAUSSIAN, 4)
@@ -301,6 +339,46 @@ class TestRemMod:
 
 
 LARGEST_PRIME = 2**31 - 1
+
+
+class TestGcdMod:
+    def test_matches_sympy_gcd(self):
+        # shapes: deg a < deg b, equal degrees, deg a > deg b, a = 0 and a
+        # constant; half of the nonzero pairs share a random common factor
+        pytest.importorskip("sympy")
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_gcd, gf_mul
+
+        def desc(coeffs):
+            return [ZZ(c) for c in reversed(coeffs)]
+
+        def ascending(coeffs):
+            return [int(c) for c in reversed(coeffs)]
+
+        rng = random.Random(36)
+        for p in (2, 3, 65521, LARGEST_PRIME):
+
+            def poly(degree):
+                return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+            for case in range(60):
+                shape = case % 5
+                db = rng.randint(1, 9)
+                b = poly(db)
+                da = (rng.randint(0, db - 1), db, rng.randint(db + 1, db + 6), None, 0)
+                a = [] if da[shape] is None else poly(da[shape])
+                if shape < 3 and rng.random() < 0.5:
+                    common = desc(poly(rng.randint(1, 4)))
+                    a = ascending(gf_mul(desc(a), common, p, ZZ))
+                    b = ascending(gf_mul(desc(b), common, p, ZZ))
+                a_in, b_in = list(a), list(b)
+                expect = ascending(gf_gcd(desc(a), desc(b), p, ZZ))
+                assert _gcd_mod(a, b, p) == expect, (p, a, b)
+                assert (a, b) == (a_in, b_in)
+
+    def test_zero_divisor(self):
+        assert _gcd_mod([2, 4, 0], [0, 0], 5) == [3, 1]
+        assert _gcd_mod([], [], 5) == []
 
 
 def schoolbook_mulmod(a, b, f, p):
@@ -562,17 +640,26 @@ def per_prime_scan(f, bound):
     return counts, tuple(ramified), even
 
 
+SHARED_LOOP_BOUND = 400
+
+
+def shared_loop_cases():
+    """20 seeded squarefree polynomials, every second one non-monic."""
+    rng = random.Random(30)
+    cases = []
+    while len(cases) < 20:
+        degree = rng.randint(2, 8)
+        lead = 1 if len(cases) % 2 == 0 else rng.choice((-6, -3, -1, 2, 4, 5, 9))
+        f = IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [lead])
+        if discriminant(f) != 0:
+            cases.append(f)
+    return cases
+
+
 class TestSharedPrimeLoop:
     def test_matches_per_prime_scan(self):
-        rng = random.Random(30)
-        bound = 400
-        cases = []
-        while len(cases) < 20:
-            degree = rng.randint(2, 8)
-            lead = 1 if len(cases) % 2 == 0 else rng.choice((-6, -3, -1, 2, 4, 5, 9))
-            f = IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [lead])
-            if discriminant(f) != 0:
-                cases.append(f)
+        bound = SHARED_LOOP_BOUND
+        cases = shared_loop_cases()
         # some prime must divide lc(f) but not disc(f), or dropping the
         # leading-coefficient test would go unseen
         assert any(
@@ -596,3 +683,61 @@ class TestSharedPrimeLoop:
                 assert cert.primes == tuple(even[:2])
                 witnesses += 1
         assert witnesses > 0
+
+
+class TestShardedPrimeLoop:
+    """census and galois split their primes over the CPUs in the affinity
+    mask, one forked child per CPU after the first; each CPU is a real fork,
+    so the mask is never larger than three."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids this process forks from now on."""
+        real_fork = os.fork
+        pids = []
+
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return pids
+
+    def test_results_independent_of_cpu_count(self, monkeypatch, forks):
+        cases = shared_loop_cases()
+        seen = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+            )
+            del forks[:]
+            seen[cpus] = [
+                (
+                    repr(census(f, SHARED_LOOP_BOUND)),
+                    galois_cycle_witnesses(f, SHARED_LOOP_BOUND) if f.is_monic else None,
+                )
+                for f in cases
+            ]
+            calls = len(cases) + sum(f.is_monic for f in cases)
+            assert len(forks) == (cpus - 1) * calls
+        assert seen[1] == seen[2] == seen[3]
+        for f, (_, patterns) in zip(cases, seen[1]):
+            counts, _, _ = per_prime_scan(f, SHARED_LOOP_BOUND)
+            assert patterns in (None, set(counts))
+
+    def test_no_more_jobs_than_primes(self, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        x2x1 = IntPoly((1, 1, 1))
+        assert census(x2x1, 2).counts == {(2,): 1}
+        assert forks == []
+        assert census(x2x1, 3).ramified == (3,)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_serial_without_fork_or_affinity_mask(self, monkeypatch, missing):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", None)
+        monkeypatch.delattr(os, missing)
+        assert census(GAUSSIAN, 100).counts == {(1, 1): 11, (2,): 13}
