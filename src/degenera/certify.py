@@ -4,7 +4,10 @@ The engine extracts a stabilizer tower from the automorphism group acting on
 darts, vertices and edges: G1 = Aut, G2 = Stab(base vertex), G4 = Stab(base
 edge) and G3 = Stab(a dart of that edge).  For a non-loop edge G3 coincides
 with G2 meet G4; for a loop the dart-level stabilizer is the index-2
-refinement that keeps the branch double cover nondegenerate.
+refinement that keeps the branch double cover nondegenerate.  Each of these
+is the stabilizer of a point of that action, so one walk of the orbit of
+(base dart, base vertex, base edge) gives every order in the tower by
+orbit-stabilizer, |Stab(x)| = |G1| / |G1·x|, with no chain beyond G1's.
 
 Reconstruction rebuilds a graph from cosets alone (vertices G1/G2, edges
 G1/G4, darts G1/G3), read as the orbits of the base points, and checks it
@@ -21,12 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .perms import (
-    OrbitCertificate,
-    PermGroup,
-    DEFAULT_ENUMERATION_CAP,
-    even_orbit_search,
-)
+from .perms import OrbitCertificate, DEFAULT_ENUMERATION_CAP, even_orbit_search
 from .graphs import DartGraph, automorphism_group
 
 CERTIFIED_NONSPLIT = "CERTIFIED_NONSPLIT"
@@ -47,7 +45,10 @@ class NoEndpointSwapError(ValueError):
 class ClutchingData:
     """Stabilizer tower of a pointed edge in the dart automorphism group.
 
-    n is the vertex orbit size [G1:G2] and m the branch orbit size [G2:G3];
+    walk is the orbit of (d0, v0, e0) on lifted points, in walk order, and
+    every order comes from it by orbit-stabilizer: |G2| = |G1| / n over the
+    n distinct vertices, |G3| = |G1| / len(walk) and |G4| = |G1| / (number
+    of distinct edges).  m = len(walk) / n is the branch orbit size [G2:G3];
     the reconstructed graph has n vertices of degree m.
     """
 
@@ -55,25 +56,27 @@ class ClutchingData:
     base_vertex: int
     base_edge: int
     base_dart: int
-    g1: PermGroup
-    g2: PermGroup
-    g3: PermGroup
-    g4: PermGroup
+    g1_order: int
+    walk: tuple
     n: int
     m: int
 
     def orders(self):
-        return (self.g1.order(), self.g2.order(), self.g3.order(), self.g4.order())
+        g1, edges = self.g1_order, len({e for _, _, e in self.walk})
+        return (g1, g1 // self.n, g1 // len(self.walk), g1 // edges)
 
 
 def stabilizer_tower(graph, base_vertex, base_edge):
     """Tower of stabilizers for a vertex and an incident edge.
 
     The base dart is the dart of the edge at the base vertex (the lower
-    numbered one for a loop).
+    numbered one for a loop).  The walk of the orbit of (d0, v0, e0) lists
+    the darts of G1/G3: g(d0) sits at g(v0) on g(e0).
     """
     if not graph.is_stable():
         raise ValueError("stabilizer tower needs a stable graph (all degrees >= 3)")
+    if not 0 <= base_edge < graph.edge_count:
+        raise ValueError("edge %d out of range" % base_edge)
     u, v = graph.edges[base_edge]
     if base_vertex not in (u, v):
         raise ValueError(
@@ -84,60 +87,50 @@ def stabilizer_tower(graph, base_vertex, base_edge):
     else:
         base_dart = graph.dart_at(base_edge, base_vertex)
     aut = automorphism_group(graph)
-    g1 = aut.group
-    g2 = aut.vertex_stabilizer(base_vertex)
-    g3 = g2.pointwise_stabilizer((base_dart,))
-    g4 = aut.edge_stabilizer(base_edge)
-    n, rem_n = divmod(g1.order(), g2.order())
-    m, rem_m = divmod(g2.order(), g3.order())
-    assert rem_n == 0 and rem_m == 0
-    assert g2.contains_group(g3) and g4.contains_group(g3)
+    darts, vertices = graph.dart_count, graph.vertex_count
+    walk = [(base_dart, darts + base_vertex, darts + vertices + base_edge)]
+    seen = set(walk)
+    for triple in walk:
+        for g in aut.lifted.generators:
+            image = tuple(g.images[x] for x in triple)
+            if image not in seen:
+                seen.add(image)
+                walk.append(image)
+    n = len({v for _, v, _ in walk})
     return ClutchingData(
         graph=graph,
         base_vertex=base_vertex,
         base_edge=base_edge,
         base_dart=base_dart,
-        g1=g1,
-        g2=g2,
-        g3=g3,
-        g4=g4,
+        g1_order=aut.group.order(),
+        walk=tuple(walk),
         n=n,
-        m=m,
+        m=len(walk) // n,
     )
 
 
 def gamma_dagger(cd):
     """Rebuild a graph from the tower: vertices G1/G2, edges G1/G4, darts G1/G3.
 
-    The coset gH is the image under g of the point H fixes, so a walk of the
-    orbit of (d0, v0, e0) lists the darts: g(d0) sits at g(v0) on g(e0).
+    The coset gH is the image under g of the point H fixes, so the darts are
+    the stored walk of (d0, v0, e0).
 
     Each edge coset contains exactly two dart cosets, which the involution
     pairs.  The output may be disconnected (the orbit of the base edge need
     not span a connected subgraph), so it is built without the
     connectivity requirement.
     """
-    if cd.g4.order() != 2 * cd.g3.order():
+    vertex_index = {}
+    dart_vertex = [vertex_index.setdefault(v, len(vertex_index)) for _, v, _ in cd.walk]
+    by_edge = {}
+    for d, (_, _, e) in enumerate(cd.walk):
+        by_edge.setdefault(e, []).append(d)
+    if len(cd.walk) != 2 * len(by_edge):
         raise NoEndpointSwapError(
             "no endpoint swap on edge %d: the dart pair stabilizer has index %d "
             "over the dart stabilizer, expected 2"
-            % (cd.base_edge, cd.g4.order() // cd.g3.order())
+            % (cd.base_edge, len(cd.walk) // len(by_edge))
         )
-    darts, vertices = cd.graph.dart_count, cd.graph.vertex_count
-    generators = automorphism_group(cd.graph).lifted.generators
-    triples = [(cd.base_dart, darts + cd.base_vertex, darts + vertices + cd.base_edge)]
-    seen = set(triples)
-    for triple in triples:
-        for g in generators:
-            image = tuple(g.images[x] for x in triple)
-            if image not in seen:
-                seen.add(image)
-                triples.append(image)
-    vertex_index = {}
-    dart_vertex = [vertex_index.setdefault(v, len(vertex_index)) for _, v, _ in triples]
-    by_edge = {}
-    for d, (_, _, e) in enumerate(triples):
-        by_edge.setdefault(e, []).append(d)
     involution = [None] * len(dart_vertex)
     for a, b in by_edge.values():
         involution[a], involution[b] = b, a
@@ -176,6 +169,8 @@ def roundtrip_report(graph, base_vertex=0):
     """
     from .graphs import find_isomorphism
 
+    if not (0 <= base_vertex < graph.vertex_count):
+        raise ValueError("base vertex %d out of range" % base_vertex)
     aut = automorphism_group(graph)
     if not aut.is_vertex_transitive():
         raise ValueError("reconstruction check needs a vertex-transitive graph")
@@ -282,7 +277,7 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
     if not (0 <= base_vertex < graph.vertex_count):
         raise ValueError("base vertex %d out of range" % base_vertex)
     aut = automorphism_group(graph)
-    g1 = aut.group
+    g1_order = aut.group.order()
     from .graphs import is_admissible
 
     admissible = is_admissible(graph)
@@ -295,22 +290,19 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
             all_degrees_even=False,
             vertex_transitive=transitive,
             base_vertex=base_vertex,
-            g1_order=g1.order(),
+            g1_order=g1_order,
             g2_order=None,
             n=None,
             per_orbit=(),
         )
     g2 = aut.vertex_stabilizer(base_vertex)
-    n = g1.order() // g2.order()
-    edge_orbit_of = {}
-    for idx, orbit in enumerate(aut.edge_orbits()):
-        for k in orbit:
-            edge_orbit_of[k] = idx
+    n = g1_order // g2.order()
+    edge_orbits = aut.edge_orbits()
+    edge_orbit_of = {k: idx for idx, orbit in enumerate(edge_orbits) for k in orbit}
     reports = []
     for dart_orbit in g2.orbits(points=graph.darts_at(base_vertex)):
         d0 = dart_orbit[0]
         e0 = graph.edge_of(d0)
-        g4 = aut.edge_stabilizer(e0)
         m = len(dart_orbit)
         cert = even_orbit_search(g2, d0, cap=cap)
         reports.append(
@@ -321,7 +313,7 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
                 is_loop=graph.is_loop(e0),
                 dart_orbit=dart_orbit,
                 g3_order=g2.order() // m,
-                g4_order=g4.order(),
+                g4_order=g1_order // len(edge_orbits[edge_orbit_of[e0]]),
                 m=m,
                 certificate=cert,
             )
@@ -333,7 +325,7 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
         all_degrees_even=True,
         vertex_transitive=transitive,
         base_vertex=base_vertex,
-        g1_order=g1.order(),
+        g1_order=g1_order,
         g2_order=g2.order(),
         n=n,
         per_orbit=tuple(reports),

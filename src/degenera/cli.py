@@ -233,14 +233,11 @@ def _cmd_roundtrip(args, cap):
             {
                 "edge_orbit": r.edge_orbit_index,
                 "edges": list(r.edge_orbit),
-                "tower": {
-                    "g1": r.tower.g1.order(),
-                    "g2": r.tower.g2.order(),
-                    "g3": r.tower.g3.order(),
-                    "g4": r.tower.g4.order(),
-                    "n": r.tower.n,
-                    "m": r.tower.m,
-                },
+                "tower": dict(
+                    zip(("g1", "g2", "g3", "g4"), r.tower.orders()),
+                    n=r.tower.n,
+                    m=r.tower.m,
+                ),
                 "reconstructed": {
                     "vertices": r.reconstructed.vertex_count,
                     "edges": r.reconstructed.edge_count,
@@ -260,10 +257,7 @@ def _cmd_roundtrip(args, cap):
             % (
                 r.edge_orbit_index,
                 len(r.edge_orbit),
-                t.g1.order(),
-                t.g2.order(),
-                t.g3.order(),
-                t.g4.order(),
+                *t.orders(),
                 t.n,
                 t.m,
                 r.reconstructed.vertex_count,

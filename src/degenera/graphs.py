@@ -582,6 +582,8 @@ def is_admissible(graph):
     constrained = [
         d for d in range(graph.dart_count) if graph.degree(graph.vertex_of(d)) >= 4
     ]
+    if len(constrained) == graph.dart_count:
+        return True
     aut = automorphism_group(graph)
     return aut.group.pointwise_stabilizer(constrained).is_trivial()
 

@@ -208,6 +208,25 @@ def sympy_degree_pattern(coeffs, p):
     return tuple(sorted(degrees, reverse=True))
 
 
+def tower_groups(cd):
+    """G1, G2, G3 and G4 of a tower as Schreier-Sims chain-built groups.
+
+    G2 and G4 are point stabilizers of the lifted action restricted to the
+    darts, and G3 fixes the base dart inside G2: the chain route that the
+    orbit-stabilizer orders of the tower are checked against.
+    """
+    from degenera.graphs import automorphism_group
+
+    aut = automorphism_group(cd.graph)
+    g2 = aut.vertex_stabilizer(cd.base_vertex)
+    return (
+        aut.group,
+        g2,
+        g2.pointwise_stabilizer((cd.base_dart,)),
+        aut.edge_stabilizer(cd.base_edge),
+    )
+
+
 def coset_gamma_dagger(cd):
     """Graph rebuilt from a stabilizer tower by explicit coset tables.
 
@@ -219,9 +238,10 @@ def coset_gamma_dagger(cd):
     from degenera.graphs import DartGraph
     from degenera.perms import CosetAction
 
-    dart_cosets = CosetAction(cd.g1, cd.g3)
-    vertex_cosets = CosetAction(cd.g1, cd.g2)
-    edge_cosets = CosetAction(cd.g1, cd.g4)
+    g1, g2, g3, g4 = tower_groups(cd)
+    dart_cosets = CosetAction(g1, g3)
+    vertex_cosets = CosetAction(g1, g2)
+    edge_cosets = CosetAction(g1, g4)
     by_edge = {}
     dart_vertex = []
     for d, rep in enumerate(dart_cosets.transversal):

@@ -33,6 +33,7 @@ from helpers import (
     coset_gamma_dagger,
     random_connected_multigraph,
     relabel_graph,
+    tower_groups,
 )
 
 
@@ -64,8 +65,9 @@ class TestStabilizerTower:
         for genus in (8, 9, 10, 12):
             g = circulant_graph(genus)
             cd = stabilizer_tower(g, 0, 0)
-            assert cd.g2.order() == 2
-            assert cd.g3.order() == 1
+            _, g2, g3, _ = tower_groups(cd)
+            assert g2.order() == 2
+            assert g3.order() == 1
             assert cd.m == 2
             assert cd.n == genus - 1
 
@@ -75,14 +77,15 @@ class TestStabilizerTower:
         # into the other, so the dart stabilizer is not normal
         cd = stabilizer_tower(doubled_cycle(4), 0, 0)
         assert cd.m == 4
-        action = CosetAction(cd.g2, cd.g3)
-        images = {action.permutation(p).images for p in cd.g2.elements()}
+        _, g2, g3, _ = tower_groups(cd)
+        action = CosetAction(g2, g3)
+        images = {action.permutation(p).images for p in g2.elements()}
         assert len(images) == 8
         assert sorted({Perm(i).order() for i in images}) == [1, 2, 4]
         normal = all(
-            g * h * g.inverse() in cd.g3
-            for g in cd.g2.generators
-            for h in cd.g3.generators
+            g * h * g.inverse() in g3
+            for g in g2.generators
+            for h in g3.generators
         )
         assert not normal
 
@@ -100,10 +103,11 @@ class TestStabilizerTower:
             for e0 in {min(o) for o in automorphism_group(g).edge_orbits()}:
                 v0 = g.edges[e0][0]
                 cd = stabilizer_tower(g, v0, e0)
-                assert cd.g1.order() == cd.n * cd.g2.order()
-                assert cd.g2.order() == cd.m * cd.g3.order()
-                assert cd.g2.contains_group(cd.g3)
-                assert cd.g4.contains_group(cd.g3)
+                g1, g2, g3, g4 = tower_groups(cd)
+                assert g1.order() == cd.n * g2.order()
+                assert g2.order() == cd.m * g3.order()
+                assert g2.contains_group(g3)
+                assert g4.contains_group(g3)
 
     def test_edge_choice_in_one_orbit_gives_same_orders(self):
         g = circulant_graph(9)
@@ -124,6 +128,13 @@ class TestStabilizerTower:
         with pytest.raises(ValueError):
             stabilizer_tower(g, 0, 9)  # edge 9 joins 3 and 4
 
+    def test_rejects_out_of_range_edge(self):
+        # edge -1 would index the last edge, which does touch vertex 3
+        g = complete_graph(5)
+        for e0 in (-1, g.edge_count):
+            with pytest.raises(ValueError, match="out of range"):
+                stabilizer_tower(g, 3, e0)
+
 
 class TestGammaDagger:
     def test_k5_reconstruction(self):
@@ -137,8 +148,9 @@ class TestGammaDagger:
                           (theta_loops(), 0, 2), (doubled_cycle(4), 0, 0)):
             cd = stabilizer_tower(g, v0, e0)
             rebuilt = gamma_dagger(cd)
-            assert rebuilt.vertex_count == cd.g1.order() // cd.g2.order()
-            assert rebuilt.edge_count == cd.g1.order() // cd.g4.order()
+            g1, g2, _, g4 = tower_groups(cd)
+            assert rebuilt.vertex_count == g1.order() // g2.order()
+            assert rebuilt.edge_count == g1.order() // g4.order()
             assert set(rebuilt.degrees()) == {cd.m}
 
     def test_theta_loop_orbit_is_disconnected(self):
@@ -169,9 +181,86 @@ class TestGammaDagger:
         # a bridge between vertices of distinct degrees cannot be reversed
         g = DartGraph(2, [(0, 1), (0, 0), (0, 0), (1, 1), (1, 1), (1, 1)])
         cd = stabilizer_tower(g, 0, 0)
-        assert cd.g4.order() == cd.g3.order()
+        _, _, g3, g4 = tower_groups(cd)
+        assert g4.order() == g3.order()
         with pytest.raises(NoEndpointSwapError):
             gamma_dagger(cd)
+
+
+class TestTowerOrdersOracle:
+    """Orbit-stabilizer orders of the tower against chain-built groups."""
+
+    @staticmethod
+    def pointed_edges():
+        families = [circulant_graph(g) for g in range(7, 13)]
+        families += [doubled_cycle(g) for g in range(4, 11)]
+        families += [complete_graph(5), theta_loops(), complete_bipartite(4, 4)]
+        rng = random.Random(23)
+        families += [
+            random_connected_multigraph(
+                rng, rng.randint(2, 6), rng.randint(2, 6), min_degree=3
+            )
+            for _ in range(20)
+        ]
+        for g in families:
+            for orbit in automorphism_group(g).edge_orbits():
+                e0 = min(orbit)
+                for v0 in sorted(set(g.edges[e0])):
+                    yield g, v0, e0
+        g = theta_loops()
+        for e0 in range(g.edge_count):
+            if g.is_loop(e0):
+                yield g, g.edges[e0][0], e0
+
+    def test_orders_match_chains(self):
+        swaps = {True: 0, False: 0}
+        for g, v0, e0 in self.pointed_edges():
+            cd = stabilizer_tower(g, v0, e0)
+            g1, g2, g3, g4 = (h.order() for h in tower_groups(cd))
+            assert cd.orders() == (g1, g2, g3, g4)
+            assert (cd.n, cd.m) == (g1 // g2, g2 // g3)
+            swapped = g4 != g3
+            swaps[swapped] += 1
+            if swapped:
+                gamma_dagger(cd)
+            else:
+                with pytest.raises(NoEndpointSwapError):
+                    gamma_dagger(cd)
+        # both sides of the endpoint-swap condition are exercised
+        assert swaps[True] and swaps[False]
+
+
+class TestChainCount:
+    """Schreier-Sims chains built per call, counted from a clean cache."""
+
+    @staticmethod
+    def chains_built(monkeypatch, run, graph):
+        from degenera import perms
+
+        automorphism_group.cache_clear()
+        prefixes = []
+        init = perms._StabilizerChain.__init__
+
+        def counting(self, degree, generators, base_prefix=()):
+            prefixes.append(tuple(base_prefix))
+            init(self, degree, generators, base_prefix)
+
+        monkeypatch.setattr(perms._StabilizerChain, "__init__", counting)
+        run(graph)
+        return prefixes
+
+    def test_roundtrip_builds_only_g1(self, monkeypatch):
+        for g in (complete_bipartite(4, 4), doubled_cycle(11), theta_loops()):
+            prefixes = self.chains_built(monkeypatch, roundtrip_report, g)
+            assert prefixes == [()]
+        assert len(roundtrip_report(theta_loops())) == 2
+
+    def test_certify_builds_no_edge_or_admissibility_chain(self, monkeypatch):
+        g = complete_graph(5)
+        prefixes = self.chains_built(monkeypatch, certify_nonsplit, g)
+        # G1, the lifted chain pinned at vertex 0 and G2's restricted chain
+        assert len(prefixes) <= 3
+        assert set(prefixes) <= {(), (g.dart_count,)}
 
 
 def even_degree_multigraph(rng):

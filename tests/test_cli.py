@@ -252,6 +252,15 @@ class TestRoundtrip:
                     rep.reconstructed, rep.subgraph, orbit["witness"]
                 )
 
+    def test_base_vertex_out_of_range(self, capsys):
+        for base in ("7", "-1"):
+            code, out, err = run_cli(
+                capsys, "clutch", "roundtrip", "--family", "k5", "--base-vertex", base
+            )
+            assert code == 2
+            assert out == ""
+            assert err == "error: base vertex %s out of range\n" % base
+
     def test_non_transitive_rejected(self, capsys, tmp_path):
         path = tmp_path / "k34.graph"
         path.write_text(complete_bipartite(3, 4).to_text())
