@@ -7,7 +7,7 @@ with G2 meet G4; for a loop the dart-level stabilizer is the index-2
 refinement that keeps the branch double cover nondegenerate.  Each of these
 is the stabilizer of a point of that action, so one walk of the orbit of
 (base dart, base vertex, base edge) gives every order in the tower by
-orbit-stabilizer, |Stab(x)| = |G1| / |G1·x|, with no chain beyond G1's.
+orbit-stabilizer, |Stab(x)| = |G1| / |G1·x|, with no chain.
 
 Reconstruction rebuilds a graph from cosets alone (vertices G1/G2, edges
 G1/G4, darts G1/G3), read as the orbits of the base points, and checks it
@@ -15,8 +15,13 @@ against the original edge orbit.  The certificate search looks for an
 element of G2 whose cyclic orbits on G2/G3 all have even size; such an
 element witnesses nonzero 2-torsion in the relative Brauer group of the
 corresponding global field extension, hence a conic with no rational point.
-Since G3 fixes the dart d0, G2/G3 is the dart orbit G2·d0, and the search
-reads those orbit sizes as cycle lengths on the darts of that orbit.
+Since G3 fixes the dart d0, G2/G3 is the dart orbit Ω = G2·d0, and the
+search reads those orbit sizes as cycle lengths on the darts of Ω.  |G1|
+comes from the generator search, and the group data of certification come
+from orbit walks as well: G2's action on the darts at v0 from Schreier
+generators over the orbit of v0, and the search runs on G2's image on Ω,
+which has at most m! elements.  When every degree is at least 4, no
+stabilizer chain is built on the darts or the lifted points.
 """
 
 from __future__ import annotations
@@ -24,7 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .perms import OrbitCertificate, DEFAULT_ENUMERATION_CAP, even_orbit_search
+from .perms import (
+    DEFAULT_ENUMERATION_CAP,
+    OrbitCertificate,
+    Perm,
+    PermGroup,
+    even_orbit_search,
+)
 from .graphs import DartGraph, automorphism_group
 
 CERTIFIED_NONSPLIT = "CERTIFIED_NONSPLIT"
@@ -102,7 +113,7 @@ def stabilizer_tower(graph, base_vertex, base_edge):
         base_vertex=base_vertex,
         base_edge=base_edge,
         base_dart=base_dart,
-        g1_order=aut.group.order(),
+        g1_order=aut.order,
         walk=tuple(walk),
         n=n,
         m=len(walk) // n,
@@ -262,6 +273,51 @@ class Verdict:
         }
 
 
+def _branch_lifts(aut, base_vertex):
+    """Elements of G2 = Stab(v0), one for each action on the darts at v0 that
+    a Schreier generator has, and the size of the orbit of v0.
+
+    By Schreier's lemma G2 is generated by the elements u_y^-1 g u_x, for
+    every vertex x in the orbit of v0 and every generator g of G1, where u_x
+    in G1 sends v0 to x (built by walking that orbit) and y = g(x).  Their
+    actions on the darts at v0 therefore generate G2's action there, which
+    is all the even-orbit search reads.  Each action is computed on those
+    darts alone; a full dart permutation is built only for an action not
+    seen before (the identity counts as seen), and any element with that
+    action would do.
+    """
+    graph = aut.graph
+    darts = graph.dart_count
+    at_v0 = graph.darts_at(base_vertex)
+    gens = [
+        (g.images, lifted.images)
+        for g, lifted in zip(aut.group.generators, aut.lifted.generators)
+    ]
+    transversal = {base_vertex: tuple(range(darts))}
+    orbit = [base_vertex]
+    for x in orbit:
+        ux = transversal[x]
+        for g, lifted in gens:
+            y = lifted[darts + x] - darts
+            if y not in transversal:
+                transversal[y] = tuple(map(g.__getitem__, ux))
+                orbit.append(y)
+    back = {x: {ux[d]: d for d in at_v0} for x, ux in transversal.items()}
+    seen = {at_v0}
+    lifts = []
+    for x in orbit:
+        ux = transversal[x]
+        for g, lifted in gens:
+            y = lifted[darts + x] - darts
+            to_v0 = back[y]
+            action = tuple(to_v0[g[ux[d]]] for d in at_v0)
+            if action not in seen:
+                seen.add(action)
+                uy_inverse = Perm._unchecked(transversal[y]).inverse().images
+                lifts.append(Perm._unchecked(tuple(uy_inverse[g[w]] for w in ux)))
+    return lifts, len(orbit)
+
+
 def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
     """Run the full pipeline and return a verdict with per-orbit evidence.
 
@@ -271,13 +327,19 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
     separate component of the base extension.  A failed search is not a
     splitness proof, so the negative verdict only reports that no
     certificate was found.
+
+    No stabilizer chain is built on the darts: |G2| = |G1| / |orbit of v0|
+    and |G3| = |G2| / m by orbit-stabilizer, and the search runs on a
+    subgroup of G2 that acts on the darts at v0 as G2 does
+    (_branch_lifts), so it sees the same branch orbits and the same image
+    on each.
     """
     if not graph.is_stable():
         raise ValueError("certification needs a stable graph (all degrees >= 3)")
     if not (0 <= base_vertex < graph.vertex_count):
         raise ValueError("base vertex %d out of range" % base_vertex)
     aut = automorphism_group(graph)
-    g1_order = aut.group.order()
+    g1_order = aut.order
     from .graphs import is_admissible
 
     admissible = is_admissible(graph)
@@ -295,16 +357,17 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
             n=None,
             per_orbit=(),
         )
-    g2 = aut.vertex_stabilizer(base_vertex)
-    n = g1_order // g2.order()
+    lifts, n = _branch_lifts(aut, base_vertex)
+    g2_order = g1_order // n
+    branches = PermGroup(graph.dart_count, lifts)
     edge_orbits = aut.edge_orbits()
     edge_orbit_of = {k: idx for idx, orbit in enumerate(edge_orbits) for k in orbit}
     reports = []
-    for dart_orbit in g2.orbits(points=graph.darts_at(base_vertex)):
+    for dart_orbit in branches.orbits(points=graph.darts_at(base_vertex)):
         d0 = dart_orbit[0]
         e0 = graph.edge_of(d0)
         m = len(dart_orbit)
-        cert = even_orbit_search(g2, d0, cap=cap)
+        cert = even_orbit_search(branches, d0, cap=cap)
         reports.append(
             OrbitSearchReport(
                 edge_orbit_index=edge_orbit_of[e0],
@@ -312,7 +375,7 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
                 base_edge=e0,
                 is_loop=graph.is_loop(e0),
                 dart_orbit=dart_orbit,
-                g3_order=g2.order() // m,
+                g3_order=g2_order // m,
                 g4_order=g1_order // len(edge_orbits[edge_orbit_of[e0]]),
                 m=m,
                 certificate=cert,
@@ -326,7 +389,7 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
         vertex_transitive=transitive,
         base_vertex=base_vertex,
         g1_order=g1_order,
-        g2_order=g2.order(),
+        g2_order=g2_order,
         n=n,
         per_orbit=tuple(reports),
     )

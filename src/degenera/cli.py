@@ -14,8 +14,11 @@ memory runs out and when a worker process of `frobenius census|galois`
 cannot start or fails.  A closed stdout does not change the exit code.
 
 The environment variable DEGENERA_CAP, a positive integer, overrides the
-cap on vertex stabilizer elements enumerated by the search in `certify`;
-a branch orbit of odd size is settled without enumerating anything.
+cap on the elements the search in `certify` enumerates: those of the image
+of the vertex stabilizer on one branch orbit of m darts, at most m!.  An
+image larger than the cap is refused before any is enumerated, and a
+branch orbit of odd size is settled without enumerating anything.
+`python -m degenera` runs the same tool.
 """
 
 from __future__ import annotations
@@ -156,7 +159,7 @@ def _cmd_graph_analyze(args, cap):
         "degrees": list(graph.degrees()),
         "stable": stable,
         "all_degrees_even": graph.all_degrees_even(),
-        "aut_order": aut.group.order(),
+        "aut_order": aut.order,
         "aut_generators": len(aut.group.generators),
         "vertex_transitive": aut.is_vertex_transitive(),
         "edge_orbits": [list(o) for o in orbits],

@@ -12,7 +12,8 @@ fixing all vertices) together with canonical dart lifts of a small
 generating set of the multiplicity-preserving vertex automorphisms.  That
 set comes from a search along a breadth-first vertex base with
 first-in-orbit pruning: each base point needs at most (orbit length - 1)
-generators, so their number follows the orbit lengths, not |Aut|.  One
+generators, so their number follows the orbit lengths, not |Aut|, and
+those lengths give |Aut| with no stabilizer chain.  One
 iterative first-solution backtrack serves both that search and
 find_isomorphism.
 """
@@ -20,6 +21,7 @@ find_isomorphism.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import factorial
 
 from .perms import Perm, PermGroup
 
@@ -418,13 +420,15 @@ def _vertex_generators(graph):
     b_0..b_(i-1) and sending b_i to w; a hit joins the generators and grows
     the orbit.  The orbit then holds every image of b_i, so by Schreier's
     lemma level i ends with the stabilizer of b_0..b_(i-1), after at most
-    (orbit length - 1) new generators.
+    (orbit length - 1) new generators.  Returns the generators and the
+    group order, the product of those final orbit lengths.
     """
     matcher = _VertexMatcher(graph, graph)
     base = matcher.order
     for v in base:
         matcher.assign(v, v)
     gens = []
+    order = 1
     for i in range(len(base) - 1, -1, -1):
         b = base[i]
         matcher.unassign(b)
@@ -438,7 +442,8 @@ def _vertex_generators(graph):
             if sigma is not None:
                 gens.append(sigma)
                 orbit = PermGroup(len(base), map(Perm._unchecked, gens)).orbit(b)
-    return gens
+        order *= len(orbit)
+    return gens, order
 
 
 def _lift_vertex_map(a, b, sigma):
@@ -483,11 +488,16 @@ def _local_generators(graph):
 
 
 class GraphAut:
-    """Automorphism group of a graph in its faithful action on darts."""
+    """Automorphism group of a graph in its faithful action on darts.
 
-    def __init__(self, graph, group):
+    order is |Aut|, known from the generator search, so reading it builds
+    no stabilizer chain; group.order() recomputes it through one.
+    """
+
+    def __init__(self, graph, group, order):
         self.graph = graph
         self.group = group
+        self.order = order
         self._vertices = (graph.dart_count, graph.vertex_count)
         self._edges = (graph.dart_count + graph.vertex_count, graph.edge_count)
 
@@ -526,15 +536,6 @@ class GraphAut:
         orbits = self.lifted.orbits(points=range(start, start + count))
         return [tuple(x - start for x in orb) for orb in orbits]
 
-    def _stabilizer(self, start, count, index):
-        """Stabilizer of lifted point start + index, restricted back to the darts."""
-        if not 0 <= index < count:
-            raise ValueError("index %d out of range 0..%d" % (index, count - 1))
-        fixed = self.lifted.pointwise_stabilizer((start + index,))
-        darts = self.graph.dart_count
-        restricted = [Perm._unchecked(h.images[:darts]) for h in fixed.generators]
-        return PermGroup(darts, restricted)
-
     def vertex_orbits(self):
         return self._orbits(*self._vertices)
 
@@ -544,22 +545,24 @@ class GraphAut:
     def is_vertex_transitive(self):
         return len(self.vertex_orbits()) == 1
 
-    def vertex_stabilizer(self, v):
-        """Subgroup whose covered vertex map fixes v."""
-        return self._stabilizer(*self._vertices, v)
-
-    def edge_stabilizer(self, e):
-        """Subgroup mapping edge e to itself, possibly swapping its two darts."""
-        return self._stabilizer(*self._edges, e)
-
 
 @lru_cache(maxsize=128)
 def automorphism_group(graph):
-    """The full automorphism group of the graph, acting on darts."""
+    """The full automorphism group of the graph, acting on darts.
+
+    Its order is the number of vertex automorphisms times the order of the
+    kernel of the vertex action, which permutes each class of m parallel
+    edges (m!) and each class of k loops at a vertex, flipping loops too
+    (k! 2^k).
+    """
     gens = _local_generators(graph)
-    for sigma in _vertex_generators(graph):
+    vertex_gens, order = _vertex_generators(graph)
+    for sigma in vertex_gens:
         gens.append(Perm(_lift_vertex_map(graph, graph, sigma)))
-    return GraphAut(graph, PermGroup(graph.dart_count, gens))
+    for (u, v), edge_ids in graph.parallel_classes().items():
+        k = len(edge_ids)
+        order *= factorial(k) << (k if u == v else 0)
+    return GraphAut(graph, PermGroup(graph.dart_count, gens), order)
 
 
 def is_vertex_transitive(graph):

@@ -1,11 +1,18 @@
 """Permutation groups on {0, ..., n-1} with coset actions and even-orbit search.
 
 A permutation is stored as its image tuple, so p sends i to p.images[i].
-Products compose right-to-left: (a * b)(x) = a(b(x)).  Groups keep a
-deterministic stabilizer chain (Schreier-Sims with the base chosen greedily
-on first moved points), which gives order, membership and element
-enumeration without randomness.  Everything in this module is exact and
-reproducible: identical inputs yield identical outputs, including the
+Products compose right-to-left: (a * b)(x) = a(b(x)).  Groups build, on
+demand, a deterministic stabilizer chain (Schreier-Sims with the base
+chosen greedily on first moved points, completed without recursion),
+which gives order, membership and element enumeration without randomness.
+
+even_orbit_search builds no chain on the group's own points: it works on
+the image of the group on one orbit Ω, whose order it reads from a chain on
+the |Ω| points and whose elements it walks breadth-first, and it lifts the
+image it chooses along a word in the generators.  CosetAction and
+verify_certificate re-check a certificate from the chain of the whole
+group, independently of that search.  Everything in this module is exact
+and reproducible: identical inputs yield identical outputs, including the
 certificate picked by even_orbit_search.
 """
 
@@ -164,8 +171,7 @@ class _StabilizerChain:
             if g.degree != degree:
                 raise ValueError("generator degree %d != %d" % (g.degree, degree))
             self._park(g)
-        for i in range(len(self.levels) - 1, -1, -1):
-            self._complete_level(i)
+        self._complete()
 
     def _new_level(self, point):
         self.levels.append(_ChainLevel(point, self.degree))
@@ -213,37 +219,46 @@ class _StabilizerChain:
                     lvl.transversal[y] = g * ux
                     lvl.order_list.append(y)
 
-    def _complete_level(self, i):
-        """Verify level i's Schreier generators, pushing residues deeper as needed."""
-        while True:
-            self._rebuild_orbit(i)
-            lvl = self.levels[i]
-            added = False
-            for g in self._gens_for(i):
-                for x in lvl.order_list:
-                    key = (g.images, x)
-                    if key in lvl.checked:
-                        continue
-                    ux = lvl.transversal[x]
-                    s = g * ux
-                    us = lvl.transversal[s.images[lvl.point]]
-                    residue = us.inverse() * s
-                    lvl.checked.add(key)
-                    if residue.is_identity():
-                        continue
-                    residue, j = self.sift(residue, i + 1)
-                    if residue.is_identity():
-                        continue
-                    if j == len(self.levels):
-                        self._new_level(residue.first_moved())
-                    self.levels[j].gens.append(residue)
-                    self._complete_level(i + 1)
-                    added = True
-                    break
-                if added:
-                    break
-            if not added:
-                return
+    def _complete(self):
+        """Verify every level's Schreier generators, deepest level first.
+
+        Levels below i are complete while level i is checked.  A residue
+        that fails to sift joins the level where it stuck, and the check
+        moves down to that level, so every level whose generating set grew
+        is checked again on the way back up.  Pairs already checked are not
+        repeated, and no call recurses.
+        """
+        i = len(self.levels) - 1
+        while i >= 0:
+            j = self._first_new_residue(i)
+            i = i - 1 if j is None else j
+
+    def _first_new_residue(self, i):
+        """Check level i's unchecked Schreier generators until one does not sift.
+
+        Returns the level that residue joined, or None when level i is
+        complete.
+        """
+        self._rebuild_orbit(i)
+        lvl = self.levels[i]
+        for g in self._gens_for(i):
+            for x in lvl.order_list:
+                key = (g.images, x)
+                if key in lvl.checked:
+                    continue
+                lvl.checked.add(key)
+                s = g * lvl.transversal[x]
+                residue = lvl.transversal[s.images[lvl.point]].inverse() * s
+                if residue.is_identity():
+                    continue
+                residue, j = self.sift(residue, i + 1)
+                if residue.is_identity():
+                    continue
+                if j == len(self.levels):
+                    self._new_level(residue.first_moved())
+                self.levels[j].gens.append(residue)
+                return j
+        return None
 
     def order(self):
         n = 1
@@ -252,17 +267,27 @@ class _StabilizerChain:
         return n
 
     def iter_elements(self):
-        """All group elements, one per transversal combination, in a fixed order."""
+        """All group elements, one per transversal combination, in a fixed order.
 
-        def rec(i, prefix):
-            if i == len(self.levels):
-                yield prefix
+        The combinations run like an odometer, the last level fastest;
+        prefix[i] is the product of the representatives chosen at levels
+        before i, so each element costs one product.
+        """
+        reps = [[lvl.transversal[x] for x in sorted(lvl.transversal)] for lvl in self.levels]
+        prefix = [Perm.identity(self.degree)]
+        chosen = []
+        while True:
+            while len(chosen) < len(reps):
+                chosen.append(0)
+                prefix.append(prefix[-1] * reps[len(chosen) - 1][0])
+            yield prefix[-1]
+            while chosen and chosen[-1] + 1 == len(reps[len(chosen) - 1]):
+                chosen.pop()
+                prefix.pop()
+            if not chosen:
                 return
-            lvl = self.levels[i]
-            for x in sorted(lvl.transversal):
-                yield from rec(i + 1, prefix * lvl.transversal[x])
-
-        yield from rec(0, Perm.identity(self.degree))
+            chosen[-1] += 1
+            prefix[-1] = prefix[-2] * reps[len(chosen) - 1][chosen[-1]]
 
     def suffix(self, k):
         """A fresh chain view for the subgroup fixing the first k base points."""
@@ -442,36 +467,117 @@ def _is_two_power(n):
     return n >= 2 and n & (n - 1) == 0
 
 
-def even_orbit_search(group, point, cap=DEFAULT_ENUMERATION_CAP):
-    """Search for an element whose cycles on the orbit of point all have even length.
+def _image_walk(generators):
+    """Breadth-first walk of the group generated by permutations of 0..m-1.
 
-    The orbit Ω of point is the coset space group/Stab(point), so an
-    element's cycle lengths on Ω, fixed points included, are its cyclic
-    orbit sizes on those cosets.  An odd |Ω| leaves an odd cycle under every
-    element and ends the search before any enumeration.  Candidates whose
-    order is a power of two that no element fixing point has are tried
-    first: such an element fixes no point of Ω, and its 2-power order forces
-    every cycle length to be even.  Remaining elements are tried by
-    increasing order with lexicographic tie-breaking on image tuples.
-    Returns an OrbitCertificate, or None after exhausting the whole group.
+    generators are image tuples, at least one.  Returns the elements as
+    image tuples in walk order, the identity first, and for each element
+    after the first the pair (earlier element index, generator index)
+    whose product gives it: element = generators[j] * elements[i].
     """
-    orbit = group.orbit(point)
+    identity = tuple(range(len(generators[0])))
+    elements = [identity]
+    seen = {identity}
+    parents = [None]
+    for i, a in enumerate(elements):
+        for j, g in enumerate(generators):
+            b = tuple(map(g.__getitem__, a))
+            if b not in seen:
+                seen.add(b)
+                elements.append(b)
+                parents.append((i, j))
+    return elements, parents
+
+
+def _best_image(group, point, cap):
+    """The image on Ω = orbit(point) that even_orbit_search certifies with.
+
+    Returns (Ω as a sorted tuple, the image as a permutation of positions
+    in Ω, the generator indices whose product lifts it, outermost first),
+    or None when no image has only even cycles.  Raises
+    EnumerationCapError before the walk when the image has more than cap
+    elements.
+    """
+    orbit = tuple(sorted(group.orbit(point)))
     if len(orbit) % 2:
         return None
-    elements = group.elements(cap)
-    orders = {p: p.order() for p in elements}
-    fixed_orders = {orders[p] for p in elements if p.images[point] == point}
+    position = {x: i for i, x in enumerate(orbit)}
+    on_orbit = [tuple(position[g.images[x]] for x in orbit) for g in group.generators]
+    size = PermGroup(len(orbit), map(Perm._unchecked, on_orbit)).order()
+    if size > cap:
+        raise EnumerationCapError(
+            "enumeration cap exceeded: the image on an orbit of %d points has "
+            "%d elements > cap %d" % (len(orbit), size, cap)
+        )
+    elements, parents = _image_walk(on_orbit)
+    home = position[point]
+    orders = []
+    fixed_orders = set()
+    even = []
+    for i, a in enumerate(elements):
+        lengths = [len(c) for c in Perm._unchecked(a).cycles(include_fixed=True)]
+        k = lcm(*lengths)
+        orders.append(k)
+        if a[home] == home:
+            fixed_orders.add(k)
+        if all(n % 2 == 0 for n in lengths):
+            even.append(i)
+    if not even:
+        return None
 
-    def rank(p):
-        k = orders[p]
-        return (not (_is_two_power(k) and k not in fixed_orders), k, p.images)
+    def rank(i):
+        k = orders[i]
+        return (not (_is_two_power(k) and k not in fixed_orders), k, elements[i])
 
-    for p in sorted(elements, key=rank):
-        cycles = p.cycles(include_fixed=True)
-        sizes = tuple(sorted((len(c) for c in cycles if c[0] in orbit), reverse=True))
-        if all(s % 2 == 0 for s in sizes):
-            return OrbitCertificate(element=p, element_order=orders[p], orbit_sizes=sizes)
-    return None
+    best = min(even, key=rank)
+    word = []
+    i = best
+    while parents[i] is not None:
+        i, j = parents[i]
+        word.append(j)
+    return orbit, elements[best], word
+
+
+def even_orbit_search(group, point, cap=DEFAULT_ENUMERATION_CAP):
+    """Search for an element whose cycles on the orbit Ω of point all have even length.
+
+    Ω is the coset space group/Stab(point), so an element's cycle lengths
+    on Ω, fixed points included, are its cyclic orbit sizes on those
+    cosets, and whether they are all even depends only on the element's
+    image in the action on Ω.  An odd |Ω| leaves an odd cycle under every
+    element and ends the search at once.  Otherwise the image of the group
+    on Ω (at most |Ω|! elements) is walked breadth-first, keeping one word
+    in the generators per image element; the order of the image is read
+    first from a stabilizer chain on the |Ω| points, and an image larger
+    than cap is refused before the walk.  Image elements are ranked by
+    the rule: first those whose order is a power of two that no image
+    element fixing point has (such an element fixes no point of Ω, so its
+    cycles are all even), then by increasing order, then by the image
+    tuple.  The best one with only even cycles has 2-power order, since
+    the power of an image that keeps only its 2-part has even cycles too
+    and ranks no later.  It is lifted by multiplying along its word to
+    some g in the group, and the certificate is g^k, where k is the odd
+    part of the order of g: an odd power keeps every 2-power cycle on Ω,
+    and the order of g^k is a power of two.  Returns an OrbitCertificate,
+    or None when no image element has only even cycles.
+    """
+    found = _best_image(group, point, cap)
+    if found is None:
+        return None
+    orbit, _, word = found
+    g = Perm.identity(group.degree)
+    for j in word:
+        g = g * group.generators[j]
+    n = g.order()
+    element = g ** (n // (n & -n))
+    on_orbit = set(orbit)
+    sizes = sorted(
+        (len(c) for c in element.cycles(include_fixed=True) if c[0] in on_orbit),
+        reverse=True,
+    )
+    return OrbitCertificate(
+        element=element, element_order=element.order(), orbit_sizes=tuple(sizes)
+    )
 
 
 def verify_certificate(cert, group, subgroup):

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: brute-force closures, Sylvester
 determinants over Fractions, exhaustive dart-permutation filters, networkx
-vertex automorphisms with the orbit bound they give along a base, coset
-tables (for reconstruction and the even-orbit search), and trial-division
-factorization.  None of it shares code with the package internals it
-checks.
+vertex automorphisms with the orbit bound they give along a base,
+vertex and edge stabilizers from Schreier-Sims chains on the lifted
+points, coset tables (for reconstruction and the even-orbit search), and
+trial-division factorization.  None of it shares code with the package
+internals it checks.
 """
 
 import itertools
@@ -208,6 +209,29 @@ def sympy_degree_pattern(coeffs, p):
     return tuple(sorted(degrees, reverse=True))
 
 
+def _lifted_stabilizer(aut, start, count, index):
+    """Stabilizer of lifted point start + index, restricted back to the darts."""
+    from degenera.perms import PermGroup
+
+    if not 0 <= index < count:
+        raise ValueError("index %d out of range 0..%d" % (index, count - 1))
+    fixed = aut.lifted.pointwise_stabilizer((start + index,))
+    darts = aut.graph.dart_count
+    return PermGroup(darts, [Perm(h.images[:darts]) for h in fixed.generators])
+
+
+def vertex_stabilizer(aut, v):
+    """G2 = Stab(v) from a Schreier-Sims chain on the lifted points pinned at v."""
+    return _lifted_stabilizer(aut, aut.graph.dart_count, aut.graph.vertex_count, v)
+
+
+def edge_stabilizer(aut, e):
+    """Stabilizer of edge e (its darts may swap), from a chain pinned at e."""
+    graph = aut.graph
+    start = graph.dart_count + graph.vertex_count
+    return _lifted_stabilizer(aut, start, graph.edge_count, e)
+
+
 def tower_groups(cd):
     """G1, G2, G3 and G4 of a tower as Schreier-Sims chain-built groups.
 
@@ -218,12 +242,12 @@ def tower_groups(cd):
     from degenera.graphs import automorphism_group
 
     aut = automorphism_group(cd.graph)
-    g2 = aut.vertex_stabilizer(cd.base_vertex)
+    g2 = vertex_stabilizer(aut, cd.base_vertex)
     return (
         aut.group,
         g2,
         g2.pointwise_stabilizer((cd.base_dart,)),
-        aut.edge_stabilizer(cd.base_edge),
+        edge_stabilizer(aut, cd.base_edge),
     )
 
 
@@ -253,32 +277,72 @@ def coset_gamma_dagger(cd):
     return DartGraph.from_darts(dart_vertex, involution, require_connected=False)
 
 
-def coset_even_orbit_search(group, subgroup):
-    """Even-orbit search over an explicit coset table of group/subgroup.
+def coset_even_orbit_search(group, subgroup, point):
+    """Even-orbit search by the image rule over an explicit coset table.
 
-    Same candidate order as the package search (two-power orders missing
-    from the subgroup first, then by order and image tuple), but each
-    candidate's orbit sizes come from a CosetAction permutation and the
-    subgroup's element orders from enumerating the subgroup itself.
+    subgroup must fix point.  Coset gH is read as the point g(point), so
+    each element of the group (enumerated through its chain) acts on
+    Ω = group·point through a CosetAction permutation.  The distinct images
+    are ranked as the package ranks them: a power-of-two order that no
+    image fixing coset 0 has first, then order, then the image tuple.
+    Returns None when no image has only even cycles, else the chosen image
+    (the image of each point of Ω, in sorted order) and its cycle lengths,
+    sorted descending: the chosen image has 2-power order, so the odd
+    power that the package reports keeps those lengths.
     """
-    from degenera.perms import CosetAction, OrbitCertificate
+    from degenera.perms import CosetAction
 
     action = CosetAction(group, subgroup)
-    sub_orders = {h.order() for h in subgroup.elements()}
-    fast, rest = [], []
+    points = [rep.images[point] for rep in action.transversal]
+    omega = sorted(points)
+    images = set()
     for p in group.elements():
-        k = p.order()
-        if k >= 2 and k & (k - 1) == 0 and k not in sub_orders:
-            fast.append((k, p))
-        else:
-            rest.append((k, p))
-    fast.sort(key=lambda pair: (pair[0], pair[1].images))
-    rest.sort(key=lambda pair: (pair[0], pair[1].images))
-    for k, p in fast + rest:
-        sizes = action.cyclic_orbit_sizes(p)
-        if all(s % 2 == 0 for s in sizes):
-            return OrbitCertificate(element=p, element_order=k, orbit_sizes=sizes)
-    return None
+        on_cosets = action.permutation(p).images
+        moved = dict(zip(points, (points[j] for j in on_cosets)))
+        images.add(tuple(moved[x] for x in omega))
+    orders = {}
+    fixed_orders = set()
+    for image in images:
+        sizes = [len(c) for c in omega_cycles(omega, image)]
+        orders[image] = math.lcm(*sizes)
+        if image[omega.index(point)] == point:
+            fixed_orders.add(orders[image])
+    even = [
+        image for image in images
+        if all(len(c) % 2 == 0 for c in omega_cycles(omega, image))
+    ]
+    if not even:
+        return None
+
+    def rank(image):
+        k = orders[image]
+        return (not (k & (k - 1) == 0 and k not in fixed_orders), k, image)
+
+    best = min(even, key=rank)
+    sizes = sorted((len(c) for c in omega_cycles(omega, best)), reverse=True)
+    return best, tuple(sizes)
+
+
+def omega_cycles(omega, image):
+    """Cycles of the map omega[i] -> image[i], fixed points included."""
+    moved = dict(zip(omega, image))
+    seen = set()
+    cycles = []
+    for x in omega:
+        if x not in seen:
+            cycle = [x]
+            seen.add(x)
+            while moved[cycle[-1]] != x:
+                cycle.append(moved[cycle[-1]])
+                seen.add(cycle[-1])
+            cycles.append(tuple(cycle))
+    return cycles
+
+
+def odd_powers(images):
+    """The odd powers of a permutation given as an image tuple."""
+    p = Perm(images)
+    return [(p**k).images for k in range(1, p.order() + 1, 2)]
 
 
 def relabel_graph(graph, vertex_images, shuffle_edges=None):

@@ -7,6 +7,7 @@ from degenera.certify import (
     NOT_CERTIFIED,
     SPLITS_TRIVIALLY,
     NoEndpointSwapError,
+    _branch_lifts,
     certify_nonsplit,
     gamma_dagger,
     orbit_subgraph,
@@ -26,14 +27,23 @@ from degenera.graphs import (
     is_isomorphic,
     theta_loops,
 )
-from degenera.perms import CosetAction, Perm, even_orbit_search, verify_certificate
+from degenera.perms import (
+    DEFAULT_ENUMERATION_CAP,
+    CosetAction,
+    Perm,
+    PermGroup,
+    _best_image,
+    verify_certificate,
+)
 from helpers import (
     brute_coset_orbit_sizes,
     coset_even_orbit_search,
     coset_gamma_dagger,
+    odd_powers,
     random_connected_multigraph,
     relabel_graph,
     tower_groups,
+    vertex_stabilizer,
 )
 
 
@@ -231,36 +241,53 @@ class TestTowerOrdersOracle:
 
 
 class TestChainCount:
-    """Schreier-Sims chains built per call, counted from a clean cache."""
+    """Schreier-Sims chains built per call, counted from a clean cache, on
+    graphs whose degrees are all at least 4."""
 
     @staticmethod
     def chains_built(monkeypatch, run, graph):
         from degenera import perms
 
         automorphism_group.cache_clear()
-        prefixes = []
+        built = []
         init = perms._StabilizerChain.__init__
 
         def counting(self, degree, generators, base_prefix=()):
-            prefixes.append(tuple(base_prefix))
+            built.append((degree, tuple(base_prefix)))
             init(self, degree, generators, base_prefix)
 
         monkeypatch.setattr(perms._StabilizerChain, "__init__", counting)
         run(graph)
-        return prefixes
+        monkeypatch.undo()
+        return built
 
-    def test_roundtrip_builds_only_g1(self, monkeypatch):
+    def test_roundtrip_builds_no_chain(self, monkeypatch):
         for g in (complete_bipartite(4, 4), doubled_cycle(11), theta_loops()):
-            prefixes = self.chains_built(monkeypatch, roundtrip_report, g)
-            assert prefixes == [()]
+            assert self.chains_built(monkeypatch, roundtrip_report, g) == []
         assert len(roundtrip_report(theta_loops())) == 2
 
     def test_certify_builds_no_edge_or_admissibility_chain(self, monkeypatch):
-        g = complete_graph(5)
-        prefixes = self.chains_built(monkeypatch, certify_nonsplit, g)
-        # G1, the lifted chain pinned at vertex 0 and G2's restricted chain
-        assert len(prefixes) <= 3
-        assert set(prefixes) <= {(), (g.dart_count,)}
+        # the only chains are the search's, one on the m points of each
+        # even branch orbit; none on the darts or the lifted points
+        for g in (complete_graph(5), complete_bipartite(4, 4), doubled_cycle(11),
+                  theta_loops(), rigid_fixture()):
+            built = self.chains_built(monkeypatch, certify_nonsplit, g)
+            even = [r.m for r in certify_nonsplit(g).per_orbit if r.m % 2 == 0]
+            assert sorted(built) == sorted((m, ()) for m in even)
+            assert all(degree < g.dart_count for degree, _ in built)
+
+    def test_analyze_builds_no_chain(self, monkeypatch, capsys, tmp_path):
+        from degenera.cli import main
+
+        for name, g in (("k44", complete_bipartite(4, 4)), ("dc11", doubled_cycle(11)),
+                        ("rigid", rigid_fixture())):
+            path = tmp_path / (name + ".graph")
+            path.write_text(g.to_text())
+            codes = []
+            run = lambda graph: codes.append(main(["graph", "analyze", str(path)]))
+            assert self.chains_built(monkeypatch, run, g) == []
+            assert codes == [0]
+        capsys.readouterr()
 
 
 def even_degree_multigraph(rng):
@@ -275,9 +302,12 @@ def even_degree_multigraph(rng):
 
 class TestEvenOrbitSearchOracle:
     def test_matches_coset_table_search(self):
-        # on every branch orbit, the search on the dart orbit returns the
-        # same certificate (or None) as the search over an explicit coset
-        # table of G2/G3 with G3 = Stab(d0)
+        # on every branch orbit, certify's search (on the Schreier lifts)
+        # chooses the same image on the dart orbit, the same orbit sizes and
+        # the same found-or-none as the image rule run over an explicit coset
+        # table of G2/G3 with G3 = Stab(d0), both groups chain-built; the
+        # lifted element lies in G2, acts on the orbit as an odd power of the
+        # chosen image and passes verify_certificate
         cases = [(g, 0) for g in (complete_graph(5), theta_loops(),
                                   complete_bipartite(4, 4))]
         cases += [(circulant_graph(g), 0) for g in range(7, 13)]
@@ -286,12 +316,35 @@ class TestEvenOrbitSearchOracle:
         cases.append((theta_loops(), 1))
         rng = random.Random(41)
         cases += [(even_degree_multigraph(rng), 0) for _ in range(20)]
+        found = 0
         for g, base in cases:
-            g2 = automorphism_group(g).vertex_stabilizer(base)
-            for dart_orbit in g2.orbits(points=g.darts_at(base)):
+            aut = automorphism_group(g)
+            g2 = vertex_stabilizer(aut, base)
+            lifts, _ = _branch_lifts(aut, base)
+            branches = PermGroup(g.dart_count, lifts)
+            verdict = certify_nonsplit(g, base_vertex=base)
+            orbits = g2.orbits(points=g.darts_at(base))
+            assert [r.dart_orbit for r in verdict.per_orbit] == orbits
+            for report, dart_orbit in zip(verdict.per_orbit, orbits):
                 d0 = dart_orbit[0]
                 g3 = g2.pointwise_stabilizer((d0,))
-                assert even_orbit_search(g2, d0) == coset_even_orbit_search(g2, g3)
+                expected = coset_even_orbit_search(g2, g3, d0)
+                cert = report.certificate
+                assert (cert is None) == (expected is None)
+                if cert is None:
+                    continue
+                found += 1
+                image, sizes = expected
+                orbit, chosen, _ = _best_image(branches, d0, DEFAULT_ENUMERATION_CAP)
+                assert orbit == dart_orbit
+                assert tuple(orbit[i] for i in chosen) == image
+                assert cert.orbit_sizes == sizes
+                assert cert.element in g2
+                assert verify_certificate(cert, g2, g3)
+                on_orbit = tuple(cert.element.images[x] for x in orbit)
+                powers = {tuple(orbit[i] for i in p) for p in odd_powers(chosen)}
+                assert on_orbit in powers
+        assert found >= 30
 
 
 class TestRoundtrip:
@@ -364,7 +417,7 @@ class TestCertify:
             verdict = certify_nonsplit(g)
             assert verdict.status == CERTIFIED_NONSPLIT
             aut = automorphism_group(g)
-            g2 = aut.vertex_stabilizer(verdict.base_vertex)
+            g2 = vertex_stabilizer(aut, verdict.base_vertex)
             for report in verdict.per_orbit:
                 cert = report.certificate
                 assert cert is not None
@@ -406,6 +459,22 @@ class TestCertify:
             assert report.certificate.element_order == 4
             assert report.certificate.orbit_sizes == (4,)
 
+    def test_double_cycle_genus_20_and_40(self):
+        # |G2| = 2^20 and 2^40: far beyond any enumeration, while G2 acts on
+        # the four darts at the base vertex as a group of order 8
+        for genus in (20, 40):
+            g = doubled_cycle(genus)
+            verdict = certify_nonsplit(g)
+            assert verdict.status == CERTIFIED_NONSPLIT
+            assert verdict.g2_order == 2**genus
+            g2 = vertex_stabilizer(automorphism_group(g), 0)
+            assert g2.order() == verdict.g2_order
+            (report,) = verdict.per_orbit
+            cert = report.certificate
+            assert (cert.element_order, cert.orbit_sizes) == (4, (4,))
+            g3 = g2.pointwise_stabilizer((report.base_dart,))
+            assert verify_certificate(cert, g2, g3)
+
     def test_double_cycle_order_two_witness_exists(self):
         # the returned certificate has order 4, but an order-2 element with
         # all-even coset orbits also exists in the vertex stabilizer
@@ -414,7 +483,7 @@ class TestCertify:
         (report,) = verdict.per_orbit
         assert report.certificate.element_order == 4
         aut = automorphism_group(g)
-        g2 = aut.vertex_stabilizer(0)
+        g2 = vertex_stabilizer(aut, 0)
         g3 = g2.pointwise_stabilizer((report.base_dart,))
         action = CosetAction(g2, g3)
         assert any(

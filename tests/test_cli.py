@@ -506,6 +506,63 @@ class TestEnumerationCap:
         monkeypatch.setenv("DEGENERA_CAP", "100000")
         assert run_cli(capsys, "certify", "--family", "k5")[0] == 0
 
+    def test_cap_bounds_the_image_on_the_branch_orbit(self, capsys, monkeypatch):
+        # |G2| = 2^20 on the double cycle of genus 20, but G2 acts on the
+        # four darts at the base vertex as a group of order 8
+        monkeypatch.setenv("DEGENERA_CAP", "8")
+        code, out, err = run_cli(capsys, "certify", "--family", "double-cycle", "--genus", "20")
+        assert (code, err) == (0, "")
+        assert "|Stab| = 1048576" in out
+        monkeypatch.setenv("DEGENERA_CAP", "7")
+        code, out, err = run_cli(capsys, "certify", "--family", "double-cycle", "--genus", "20")
+        assert code == 2 and out == ""
+        assert "has 8 elements > cap 7" in err
+
+    def test_k11_exceeds_the_cap_before_enumerating(self, capsys, monkeypatch, tmp_path):
+        # S10 acts on the ten darts at a vertex of K11: 3628800 > 10^6
+        from degenera import perms
+
+        def walk(generators):
+            raise AssertionError("the image was walked")
+
+        monkeypatch.setattr(perms, "_image_walk", walk)
+        path = tmp_path / "k11.graph"
+        path.write_text(complete_graph(11).to_text())
+        code, out, err = run_cli(capsys, "certify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: enumeration cap exceeded")
+        assert "3628800 elements > cap 1000000" in err
+        assert err.count("\n") == 1
+
+
+class TestScale:
+    def test_analyze_double_cycle_160_within_a_second(self, capsys):
+        automorphism_group.cache_clear()
+        started = time.perf_counter()
+        code, report = structured(
+            capsys, "graph", "analyze", "--family", "double-cycle", "--genus", "160"
+        )
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert report["result"]["aut_order"] == 2 * 159 * 2**159
+        assert report["result"]["admissible"] is True
+        assert elapsed < 1.0
+
+    def test_python_m_degenera(self):
+        env = subprocess_env()
+        done = subprocess.run(
+            [sys.executable, "-m", "degenera", "certify", "--family", "k5"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        assert "status: CERTIFIED_NONSPLIT" in done.stdout
+        done = subprocess.run(
+            [sys.executable, "-m", "degenera", "--version"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout == "degenera %s\n" % degenera.__version__
+
 
 def raise_runtime_error():
     raise RuntimeError("boom")

@@ -26,10 +26,12 @@ from helpers import (
     breadth_first_base,
     brute_closure,
     dart_group_order,
+    edge_stabilizer,
     exhaustive_dart_automorphisms,
     networkx_vertex_automorphisms,
     random_connected_multigraph,
     relabel_graph,
+    vertex_stabilizer,
 )
 
 
@@ -238,6 +240,43 @@ def rigid_fixture():
     return DartGraph(3, [(0, 1)] + [(0, 2)] * 3 + [(1, 2)] * 5)
 
 
+class TestAutOrderFromSearch:
+    """|Aut| as the generator search gives it (product of the basic orbit
+    lengths times the kernel order) against the Schreier-Sims chain and the
+    networkx vertex automorphism count."""
+
+    @staticmethod
+    def check(graph):
+        aut = automorphism_group(graph)
+        vertex_count = len(networkx_vertex_automorphisms(graph))
+        assert aut.order == aut.group.order() == dart_group_order(graph, vertex_count)
+
+    def test_families_and_complete_graphs(self):
+        pytest.importorskip("networkx")
+        graphs = [circulant_graph(g) for g in range(7, 13)]
+        graphs += [complete_graph(5), theta_loops()]
+        graphs += [doubled_cycle(g) for g in range(4, 11)]
+        graphs += [complete_bipartite(3, 3), complete_bipartite(4, 4)]
+        graphs += [complete_graph(6), complete_graph(7), rigid_fixture()]
+        graphs.append(DartGraph(1, [(0, 0), (0, 0)]))
+        for g in graphs:
+            self.check(g)
+
+    def test_random_multigraphs(self):
+        pytest.importorskip("networkx")
+        rng = random.Random(5)
+        graphs = [
+            random_connected_multigraph(rng, rng.randint(1, 6), rng.randint(1, 7))
+            for _ in range(20)
+        ]
+        assert any(g.is_loop(k) for g in graphs for k in range(g.edge_count))
+        assert any(
+            len(ids) > 1 for g in graphs for ids in g.parallel_classes().values()
+        )
+        for g in graphs:
+            self.check(g)
+
+
 class TestGeneratorSearch:
     """The small generating set spans the whole group: orders against
     networkx, generators checked as dart isomorphisms, counts bounded by the
@@ -353,9 +392,9 @@ class TestLiftedStabilizers:
             return {p.images for p in group.elements()}
 
         for v in range(graph.vertex_count):
-            assert images(aut.vertex_stabilizer(v)) == fixing(graph.darts_at(v))
+            assert images(vertex_stabilizer(aut, v)) == fixing(graph.darts_at(v))
         for e in range(graph.edge_count):
-            assert images(aut.edge_stabilizer(e)) == fixing(graph.dart_pair(e))
+            assert images(edge_stabilizer(aut, e)) == fixing(graph.dart_pair(e))
         vertex_orbits = {
             tuple(sorted({graph.vertex_of(p.images[d]) for p in elements}))
             for d in range(graph.dart_count)
@@ -391,10 +430,10 @@ class TestLiftedStabilizers:
         aut = automorphism_group(theta_loops())
         for bad in (-1, 2):
             with pytest.raises(ValueError):
-                aut.vertex_stabilizer(bad)
+                vertex_stabilizer(aut, bad)
         for bad in (-1, 4):
             with pytest.raises(ValueError):
-                aut.edge_stabilizer(bad)
+                edge_stabilizer(aut, bad)
 
 
 class TestAdmissibility:

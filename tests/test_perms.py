@@ -1,7 +1,10 @@
+import itertools
 import random
+import sys
 
 import pytest
 
+from degenera import perms
 from degenera.perms import (
     CosetAction,
     EnumerationCapError,
@@ -11,7 +14,7 @@ from degenera.perms import (
     group_from_generators,
     verify_certificate,
 )
-from helpers import brute_closure, brute_coset_orbit_sizes, compose_images
+from helpers import brute_closure, brute_coset_orbit_sizes, compose_images, odd_powers
 
 
 def s_n(n):
@@ -167,6 +170,45 @@ class TestAgainstBruteForce:
             assert {p.images for p in stab.elements()} == filtered
 
 
+class TestStabilizerChain:
+    def test_deeper_than_the_recursion_limit(self):
+        # 150 disjoint transpositions give a chain of 150 levels, more than
+        # a recursion limit of 100 leaves frames for
+        degree = 300
+        gens = [Perm.from_cycles(degree, [(2 * i, 2 * i + 1)]) for i in range(150)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            group = PermGroup(degree, gens)
+            order = group.order()
+            levels = len(group._chain.levels)
+            first = list(itertools.islice(group._chain.iter_elements(), 4))
+            product = gens[0] * gens[75] * gens[149]
+            member = product in group
+            outsider = Perm.from_cycles(degree, [(1, 2)]) in group
+        finally:
+            sys.setrecursionlimit(limit)
+        assert order == 2**150 and levels == 150
+        assert first[0].is_identity()
+        assert len(set(first)) == 4
+        assert member and not outsider
+
+    def test_enumeration_order_is_an_odometer(self):
+        # the last level runs fastest: element = u_0 * u_1 * ... over the
+        # sorted transversal of each level
+        group = s_n(4)
+        chain = group._chain
+        reps = [[lvl.transversal[x] for x in sorted(lvl.transversal)] for lvl in chain.levels]
+        expected = []
+        for combo in itertools.product(*reps):
+            p = Perm.identity(4)
+            for u in combo:
+                p = p * u
+            expected.append(p)
+        assert list(chain.iter_elements()) == expected
+        assert list(PermGroup(3, [])._chain.iter_elements()) == [Perm.identity(3)]
+
+
 class TestCosetAction:
     def test_s4_mod_s3(self):
         g = s_n(4)
@@ -296,3 +338,82 @@ class TestEvenOrbitSearch:
                 assert cert is not None
                 order = cert.element_order
                 assert order & (order - 1) == 0
+
+    def test_cap_bounds_the_image_not_the_group(self):
+        # S2 on {0, 1} times S6 on 2..7: 1440 elements, two of them on the
+        # orbit of 0
+        g = group_from_generators(
+            [
+                Perm.from_cycles(8, [(0, 1)]),
+                Perm.from_cycles(8, [(2, 3)]),
+                Perm.from_cycles(8, [tuple(range(2, 8))]),
+            ]
+        )
+        assert g.order() == 1440
+        cert = even_orbit_search(g, 0, cap=2)
+        assert cert.orbit_sizes == (2,) and cert.element_order == 2
+        with pytest.raises(EnumerationCapError, match="has 2 elements > cap 1"):
+            even_orbit_search(g, 0, cap=1)
+
+    def test_cap_refused_before_the_walk(self, monkeypatch):
+        def walk(generators):
+            raise AssertionError("the image was walked")
+
+        monkeypatch.setattr(perms, "_image_walk", walk)
+        with pytest.raises(EnumerationCapError, match="has 24 elements > cap 23"):
+            even_orbit_search(s_n(4), 3, cap=23)
+
+    def test_reports_the_two_part_power(self):
+        # the lift (0 1)(2 3 4) has order 6; the certificate is its cube
+        g = group_from_generators([Perm.from_cycles(5, [(0, 1), (2, 3, 4)])])
+        cert = even_orbit_search(g, 0)
+        assert cert.element == Perm.from_cycles(5, [(0, 1)])
+        assert cert.element_order == 2 and cert.orbit_sizes == (2,)
+
+    def test_certificates_have_two_power_order(self):
+        # an image with even cycles ranks after the power of itself that
+        # keeps only its 2-part, so the chosen image and the certificate
+        # have 2-power orders and 2-power cycles on the orbit
+        rng = random.Random(77)
+        found = 0
+        for _ in range(40):
+            degree = rng.randint(3, 7)
+            gens = []
+            for _ in range(rng.randint(1, 2)):
+                images = list(range(degree))
+                rng.shuffle(images)
+                gens.append(Perm(images))
+            g = group_from_generators(gens)
+            point = rng.randrange(degree)
+            cert = even_orbit_search(g, point)
+            if cert is None:
+                continue
+            found += 1
+            assert cert.element in g
+            assert cert.element.order() == cert.element_order
+            for k in (cert.element_order,) + cert.orbit_sizes:
+                assert k & (k - 1) == 0
+            h = g.pointwise_stabilizer((point,))
+            assert verify_certificate(cert, g, h)
+            # the certificate acts on the orbit as an odd power of the
+            # chosen image
+            orbit, chosen, _ = perms._best_image(g, point, 10**6)
+            on_orbit = tuple(orbit.index(cert.element.images[x]) for x in orbit)
+            assert on_orbit in odd_powers(chosen)
+        assert found >= 10
+
+    def test_image_walk_reaches_every_element_once(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            degree = rng.randint(2, 6)
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                images = list(range(degree))
+                rng.shuffle(images)
+                gens.append(tuple(images))
+            elements, parents = perms._image_walk(gens)
+            assert set(elements) == brute_closure(gens)
+            assert len(elements) == len(set(elements))
+            assert parents[0] is None
+            for b, (i, j) in zip(elements[1:], parents[1:]):
+                assert b == compose_images(gens[j], elements[i])
