@@ -7,19 +7,26 @@ patterns are all even witness nonzero 2-torsion in the relative Brauer
 group of the splitting field over the rationals; the census estimates the
 Chebotarev densities of the patterns.
 
-Only degree patterns are computed, never the factors themselves, via
-distinct-degree splitting.  The powers x^(p^d) mod f live in the ring
-GF(p)[x]/(f mod p) with each residue packed into one Python int, a slot of
-k bits per coefficient (Kronecker substitution): a product there is a
-fixed number of bigint operations, one product plus Barrett reductions
-slot-wise mod p and polynomial-wise mod f, with no loop over coefficients.
-x^p comes from a square-and-multiply ladder, and x^(p^(d+1)) from x^(p^d)
-by Horner composition with x^p (Frobenius commutes with composition over
-GF(p)).  Each power is unpacked once, for its gcd with the factor still
-unsplit; the gcds and exact divisions run on coefficient lists through one
-remainder by a monic polynomial, and each Euclid step makes its divisor
-monic with a single inverse.  Primes are kept below 2^31, which bounds the
-slot width (see `_PackedRing`).
+Only degree patterns are computed, never the factors themselves.  The
+powers x^(p^d) mod f live in the ring GF(p)[x]/(f mod p) with each residue
+packed into one Python int, a slot of k bits per coefficient (Kronecker
+substitution): a product there is a fixed number of bigint operations, one
+product plus Barrett reductions slot-wise mod p and polynomial-wise mod f,
+with no loop over coefficients.  x^p comes from a square-and-multiply
+ladder.  Primes are kept below 2^31, which bounds the slot width (see
+`_PackedRing`).
+
+For p > deg f the per-prime loop reads each distinct-degree count off a
+trace (`_pattern_by_traces`): the trace of the d-th Frobenius power on
+GF(p)[x]/(f mod p) counts the roots of f in GF(p^d), which is exact mod p
+because it is at most deg f.  Its matrix has the powers of x^(p^d) as
+columns, and x^(p^(d+1)) is a linear combination of those columns, so the
+loop makes no gcd and no composition.  For p <= deg f the count mod p is
+ambiguous, and the loop keeps the distinct-degree splitting
+(`_pattern_of_squarefree`): x^(p^(d+1)) from x^(p^d) by Horner
+composition with x^p, and gcds and exact divisions on coefficient lists
+through one remainder by a monic polynomial.  `degree_pattern` always
+splits by gcds, so it re-checks the trace path with another algorithm.
 
 The census, the witness search and the galois search share one per-prime
 function: the sieve and disc(f) are computed once, and the primes dividing
@@ -30,7 +37,8 @@ and send back only a pattern tally, which merges into exactly what one
 scan would give.  The witness search stays a lazy scan that stops at the
 second all-even prime.  `degree_pattern` stays a separate single-prime path
 with its own primality and gcd(f, f') tests, so certificates and the test
-oracles check the loop independently.
+oracles check the loop independently.  `parse_poly` refuses a degree above
+DEGREE_LIMIT before it builds a coefficient list.
 """
 
 from __future__ import annotations
@@ -44,6 +52,9 @@ from itertools import islice
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 PRIME_LIMIT = 2**31
+# parse_poly rejects a higher degree before building any coefficient list;
+# census cost grows about as the cube of the degree
+DEGREE_LIMIT = 256
 
 DEFAULT_CENSUS_BOUND = 10**6
 DEFAULT_WITNESS_BOUND = 10**4
@@ -110,12 +121,22 @@ _TERM = re.compile(r"^([+-]?)(\d*)(x)?(?:\^(\d+))?$")
 
 
 def parse_poly(text):
-    """Parse 'x^4-x-1' style or ascending comma form '-1,-1,0,0,1'."""
+    """Parse 'x^4-x-1' style or ascending comma form '-1,-1,0,0,1'.
+
+    An exponent above DEGREE_LIMIT, or more than DEGREE_LIMIT + 1 comma
+    coefficients, is rejected before any coefficient list is built.
+    """
     s = text.replace("−", "-").replace("*", "").replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
     if "," in s:
-        return IntPoly([int(part) for part in s.split(",")])
+        parts = s.split(",")
+        if len(parts) > DEGREE_LIMIT + 1:
+            raise ValueError(
+                "%d coefficients exceed the degree limit %d"
+                % (len(parts), DEGREE_LIMIT)
+            )
+        return IntPoly([int(part) for part in parts])
     coeffs = {}
     for term in re.findall(r"[+-]?[^+-]+|[+-](?=[+-])", s):
         match = _TERM.match(term)
@@ -130,6 +151,8 @@ def parse_poly(text):
         power = int(exp) if exp else (1 if var else 0)
         if exp is not None and var is None:
             raise ValueError("exponent without variable in %r" % term)
+        if power > DEGREE_LIMIT:
+            raise ValueError("degree %d exceeds the limit %d" % (power, DEGREE_LIMIT))
         coeffs[power] = coeffs.get(power, 0) + coeff
     top = max(coeffs)
     return IntPoly([coeffs.get(i, 0) for i in range(top + 1)])
@@ -345,9 +368,11 @@ class _PackedRing:
       a*b            n*(3p-1)*(2p-1)      (n terms in the middle slot)
       hi*mu          (n-1)*(2p-1)*(p-1)
       lo + lo(q*g)   (2p-1) + (n-1)*(2p-1)*(p-1)
-    and in `mulx`, (2p-1) + (2p-1)*(p-1).  The first, `top`, is the largest,
-    so s = bit length of top gives every slot x < 2^s, and k = bit length of
-    top*m gives x*m < 2^k.  For n = 16 and p = 2^31 - 1, s = 69 and k = 107.
+    in `mulx`, (2p-1) + (2p-1)*(p-1), and in `combine`, a sum of n
+    products of a coefficient below p with a slot at most 2p-1, so at most
+    n*(p-1)*(2p-1).  The first, `top`, is the largest, so s = bit length of
+    top gives every slot x < 2^s, and k = bit length of top*m gives
+    x*m < 2^k.  For n = 16 and p = 2^31 - 1, s = 69 and k = 107.
     """
 
     __slots__ = (
@@ -416,6 +441,27 @@ class _PackedRing:
             acc = self.mul(acc, inner) + c
         return acc
 
+    def powers(self, h):
+        """[h^0, h^1, ..., h^(n-1)] by n - 2 products; h's slots at most 2p-1."""
+        out = [1, h]
+        for _ in range(self.n - 2):
+            out.append(self.mul(out[-1], h))
+        return out
+
+    def trace(self, powers):
+        """Sum of slot j of powers[j] over j, mod p: the trace of the map
+        x^j -> powers[j] on GF(p)[x]/(fbar)."""
+        k = self.k
+        slot = (1 << k) - 1
+        return sum(h >> k * j & slot for j, h in enumerate(powers)) % self.p
+
+    def combine(self, coeffs, powers):
+        """sum of coeffs[j]*powers[j]; coeffs in [0, p), powers' slots at
+        most 2p-1, so no slot of the sum exceeds n*(p-1)*(2p-1)."""
+        p, s, m = self.p, self.s, self.m
+        r = sum(c * h for c, h in zip(coeffs, powers) if c)
+        return r - (r * m >> s & self.qmask) * p
+
 
 def _pattern_of_squarefree(fbar, p):
     """Distinct-degree splitting of a monic squarefree fbar in GF(p)[x].
@@ -451,6 +497,46 @@ def _pattern_of_squarefree(fbar, p):
         if len(part) > 1:
             current = _divexact_mod(current, part, p)
         power = ring.compose(coeffs, frob)
+    if rest:
+        degrees.append(rest)
+    return tuple(sorted(degrees, reverse=True))
+
+
+def _pattern_by_traces(fbar, p):
+    """Degree pattern of a monic squarefree fbar of degree n < p, no gcds.
+
+    Frobenius s acts on A = GF(p)[x]/(fbar) with s^d(x^j) = h^j, where
+    h = x^(p^d) mod fbar.  Its trace N_d = sum of slot j of h^j counts the
+    roots of fbar in GF(p^d), which is the sum of e*r_e over e | d when fbar
+    has r_e irreducible factors of degree e; N_d <= n < p, so N_d mod p is
+    exact and r_d follows from the r_e with e < d.  The next power is
+    x^(p^(d+1)) = s^d(x^p) = sum of c_j*h^j over the coefficients c_j of
+    x^p, one linear combination of the powers already made.  As in
+    `_pattern_of_squarefree`, the degree left once it is below 2(d+1) is a
+    single irreducible factor.
+    """
+    n = len(fbar) - 1
+    if n <= 1:
+        return (1,) * n
+    ring = _PackedRing(fbar, p)
+    frob = ring.xpow()
+    xp = ring.unpack(frob)
+    found = []  # (e, r_e) with r_e > 0
+    rest = n
+    power = frob
+    d = 1
+    while True:
+        powers = ring.powers(power)
+        roots = ring.trace(powers) - sum(e * r for e, r in found if d % e == 0)
+        assert 0 <= roots <= rest and roots % d == 0, (p, d, roots)
+        if roots:
+            found.append((d, roots // d))
+            rest -= roots
+        d += 1
+        if 2 * d > rest:
+            break
+        power = ring.combine(xp, powers)
+    degrees = [e for e, r in found for _ in range(r)]
     if rest:
         degrees.append(rest)
     return tuple(sorted(degrees, reverse=True))
@@ -525,17 +611,21 @@ def _prime_loop(f, bound):
     discriminant, so they are split off by divisibility and the per-prime
     work stays on the squarefree path.  Primes dividing the leading
     coefficient of a non-monic f also count as ramified, since the pattern
-    is undefined for them.
+    is undefined for them.  Primes above deg f take the trace count, the
+    others the gcd splitting.
     """
     plist = primes_upto(bound)
     disc = discriminant(f)
     if disc == 0:
         raise ValueError("polynomial is not squarefree (discriminant 0)")
     disc_lead = disc * f.leading
+    n = f.degree
 
     def pattern(p):
         if disc_lead % p == 0:
             return None
+        if p > n:
+            return _pattern_by_traces(_monic_mod(f.coeffs, p), p)
         return _pattern_of_squarefree(_monic_mod(f.coeffs, p), p)
 
     return plist, pattern

@@ -514,21 +514,35 @@ class GraphAut:
         return Perm(images)
 
     def edge_perm(self, p):
-        return Perm._unchecked(
-            tuple(p.images[2 * k] // 2 for k in range(self.graph.edge_count))
-        )
+        darts = self.graph.dart_count
+        return Perm._unchecked(tuple(d >> 1 for d in p.images[:darts:2]))
 
     @cached_property
     def lifted(self):
-        """The group on darts 0..D-1, vertices from D and edges from D + V."""
-        (v0, _), (e0, edge_count) = self._vertices, self._edges
+        """The group on darts 0..D-1, vertices from D and edges from D + V.
+
+        The generators are automorphisms, so the image of one dart per
+        vertex gives each vertex image; a graph with a vertex that has no
+        dart goes through `vertex_perm` instead.
+        """
+        dart_vertex = self.graph._dart_vertex
+        (v0, vertex_count), (e0, edge_count) = self._vertices, self._edges
+        one_dart = [None] * vertex_count
+        for d, v in enumerate(dart_vertex):
+            one_dart[v] = d
+        if None in one_dart:
+            vertex_images = [self.vertex_perm(g).images for g in self.group.generators]
+        else:
+            vertex_images = [
+                [dart_vertex[g.images[d]] for d in one_dart] for g in self.group.generators
+            ]
         gens = [
             Perm._unchecked(
                 g.images
-                + tuple(v0 + w for w in self.vertex_perm(g).images)
+                + tuple(v0 + w for w in images)
                 + tuple(e0 + f for f in self.edge_perm(g).images)
             )
-            for g in self.group.generators
+            for g, images in zip(self.group.generators, vertex_images)
         ]
         return PermGroup(e0 + edge_count, gens)
 

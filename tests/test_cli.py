@@ -340,6 +340,22 @@ class TestFrobenius:
         assert out == ""
         assert err == "error: polynomial is not squarefree (discriminant 0)\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("census", "x^1000000000-1"),
+            ("census", "x^100000-x-1", "--bound", "10"),
+            ("witness", ",".join(["1"] + ["0"] * 300 + ["1"])),
+        ],
+    )
+    def test_degree_above_limit_rejected(self, capsys, argv):
+        # rejected while parsing, before a coefficient list is built
+        code, out, err = run_cli(capsys, "frobenius", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "limit %d" % frobenius.DEGREE_LIMIT in err
+
     def test_census_without_unramified_prime_rejected(self, capsys):
         # 2 is the only prime up to 2, and it divides disc(x^2+1) = -4
         code, out, err = run_cli(capsys, "frobenius", "census", "x^2+1", "--bound", "2")

@@ -19,7 +19,14 @@ from degenera.frobenius import (
     primes_upto,
     resultant,
 )
-from degenera.frobenius import _PackedRing, _gcd_mod, _rem_mod
+from degenera import frobenius
+from degenera.frobenius import (
+    DEGREE_LIMIT,
+    _PackedRing,
+    _gcd_mod,
+    _pattern_by_traces,
+    _rem_mod,
+)
 from degenera.perms import CosetAction, Perm, group_from_generators
 from helpers import (
     sylvester_resultant,
@@ -64,6 +71,18 @@ class TestParse:
     def test_rejects_malformed(self):
         for bad in ("", "x^", "y + 1", "3^2", "x^2 - x^2"):
             with pytest.raises(ValueError):
+                parse_poly(bad)
+
+    def test_degree_limit(self):
+        assert parse_poly("x^%d-1" % DEGREE_LIMIT).degree == DEGREE_LIMIT
+        assert parse_poly(",".join(["1"] * (DEGREE_LIMIT + 1))).degree == DEGREE_LIMIT
+        for bad in (
+            "x^%d-1" % (DEGREE_LIMIT + 1),
+            "x^1000000000-1",
+            "1 + x^99999999999999999999",
+            ",".join(["1"] * (DEGREE_LIMIT + 2)),
+        ):
+            with pytest.raises(ValueError, match="limit"):
                 parse_poly(bad)
 
 
@@ -459,6 +478,27 @@ class TestPackedRing:
                     assert ring.unpack(got) == expect, (p, n)
 
 
+    def test_trace_and_combination_at_slot_bounds(self):
+        # powers, their trace and a linear combination with every
+        # coefficient p - 1 and every power's slot 2p - 1, the largest sum
+        rng = random.Random(36)
+        for p in (17, 65521, LARGEST_PRIME):
+            for n in range(2, 17):
+                for fbar in self.moduli(rng, n, p):
+                    ring = _PackedRing(fbar, p)
+                    h = [rng.randrange(p) for _ in range(n)]
+                    powers = ring.powers(ring.pack(h))
+                    expect = [[1], reduced(h, p)]
+                    while len(expect) < n:
+                        expect.append(schoolbook_mulmod(expect[-1], expect[1], fbar, p))
+                    assert [reduced(slots_of(ring, x), p) for x in powers] == expect
+                    padded = [e + [0] * (n - len(e)) for e in expect]
+                    assert ring.trace(powers) == sum(e[j] for j, e in enumerate(padded)) % p
+                    top = [ring.pack([2 * p - 1] * n)] * n
+                    got = slots_of(ring, ring.combine([p - 1] * n, top))
+                    assert reduced(got, p) == [n * (p - 1) * (2 * p - 1) % p] * n, (p, n)
+
+
 class TestTopOfPrimeRange:
     """degree_pattern against sympy where the packed slots are widest."""
 
@@ -482,6 +522,89 @@ class TestTopOfPrimeRange:
         f = parse_poly("x^40-x-1")
         for p in (97, 1000003, LARGEST_PRIME):
             assert degree_pattern(f, p) == sympy_degree_pattern(f.coeffs, p), p
+
+
+def trace_pattern(f, p):
+    """_pattern_by_traces on f mod p, which must be unramified and p > deg f."""
+    assert p > f.degree and discriminant(f) % p and f.leading % p
+    return _pattern_by_traces(frobenius._monic_mod(f.coeffs, p), p)
+
+
+class TestTracePath:
+    """The per-prime path for p > deg f, which the census, galois and
+    witness loops take, against sympy's complete factorization."""
+
+    def test_random_polynomials_near_prime_limit(self):
+        pytest.importorskip("sympy")
+        rng = random.Random(37)
+        top = [p for p in range(2**31 - 400, 2**31) if is_prime(p)]
+        cases = 0
+        while cases < 60:
+            degree = rng.randint(2, 16)
+            f = IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [1])
+            p = top[cases % len(top)]
+            if discriminant(f) % p == 0:
+                continue
+            assert trace_pattern(f, p) == sympy_degree_pattern(f.coeffs, p), (f, p)
+            cases += 1
+
+    def test_degree_forty(self):
+        pytest.importorskip("sympy")
+        f = parse_poly("x^40-x-1")
+        for p in (41, 97, 1000003, LARGEST_PRIME):
+            assert trace_pattern(f, p) == sympy_degree_pattern(f.coeffs, p), p
+
+    def test_smallest_prime_above_degree(self):
+        # N_d <= n < p is tightest here: a count of n roots must not wrap
+        pytest.importorskip("sympy")
+        rng = random.Random(38)
+        for degree in range(2, 17):
+            p = next(q for q in range(degree + 1, 2 * degree + 2) if is_prime(q))
+            roots = rng.sample(range(p), degree)
+            coeffs = [1]
+            for r in roots:
+                coeffs = [(a - r * b) for a, b in zip([0] + coeffs, coeffs + [0])]
+            fully_split = IntPoly(coeffs)
+            assert trace_pattern(fully_split, p) == (1,) * degree
+            found = 0
+            while found < 6:
+                f = IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [1])
+                if discriminant(f) % p == 0:
+                    continue
+                assert trace_pattern(f, p) == sympy_degree_pattern(f.coeffs, p), (f, p)
+                found += 1
+
+    def test_census_across_the_degree_matches_per_prime_scan(self):
+        # primes 2..11 take the gcd splitting, 13..59 the traces
+        for text in ("x^12-x-1", "x^6+x+1", "3x^5-2x+7"):
+            f = parse_poly(text)
+            counts, ramified, _ = per_prime_scan(f, 60)
+            result = census(f, 60)
+            assert result.counts == counts
+            assert result.ramified == ramified
+
+    def test_no_gcd_or_composition_above_degree(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append((name, args[-1] if name != "compose" else args[0].p))
+                return fn(*args)
+
+            return wrapped
+
+        for name in ("_gcd_mod", "_divexact_mod"):
+            monkeypatch.setattr(frobenius, name, spy(name, getattr(frobenius, name)))
+        monkeypatch.setattr(_PackedRing, "compose", spy("compose", _PackedRing.compose))
+        f = parse_poly("x^12-x-1")
+        result = census(f, 400)
+        n = f.degree
+        late = [(name, p) for name, p in calls if p > n]
+        # one division per prime above n, for the ring's mu
+        assert sorted(late) == [("_divexact_mod", p) for p in primes_upto(400) if p > n]
+        assert {name for name, p in calls if p <= n} >= {"_gcd_mod", "compose"}
+        assert sum(result.counts.values()) == len(primes_upto(400)) - len(result.ramified)
 
 
 class TestCensus:

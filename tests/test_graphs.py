@@ -207,6 +207,20 @@ class TestAutomorphisms:
             for d in range(g.dart_count):
                 assert g.vertex_of(p.images[d]) == vp.images[g.vertex_of(d)]
 
+    def test_lifted_vertex_images_match_vertex_perm(self):
+        # lifted reads one dart per vertex; vertex_perm checks every dart
+        graphs = [circulant_graph(g) for g in range(7, 13)]
+        graphs += [complete_graph(5), theta_loops(), complete_bipartite(4, 4)]
+        graphs += [doubled_cycle(g) for g in range(4, 11)]
+        for g in graphs:
+            aut = automorphism_group(g)
+            start, count = g.dart_count, g.vertex_count
+            lifted = aut.lifted.generators
+            assert len(lifted) == len(aut.group.generators)
+            for p, q in zip(aut.group.generators, lifted):
+                images = tuple(w - start for w in q.images[start : start + count])
+                assert images == aut.vertex_perm(p).images, g
+
     def test_simple_graph_dart_group_equals_vertex_group(self):
         # a simple graph's dart action is determined by the vertex action
         for g in (complete_graph(4), complete_graph(5), circulant_graph(8)):
