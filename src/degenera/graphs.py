@@ -487,6 +487,9 @@ def _local_generators(graph):
     return gens
 
 
+_DARTLESS = "a vertex with no dart has no image under a dart permutation"
+
+
 class GraphAut:
     """Automorphism group of a graph in its faithful action on darts.
 
@@ -511,6 +514,8 @@ class GraphAut:
                 images[v] = w
             elif images[v] != w:
                 raise ValueError("dart permutation does not cover a vertex map")
+        if None in images:
+            raise ValueError(_DARTLESS)
         return Perm(images)
 
     def edge_perm(self, p):
@@ -522,8 +527,7 @@ class GraphAut:
         """The group on darts 0..D-1, vertices from D and edges from D + V.
 
         The generators are automorphisms, so the image of one dart per
-        vertex gives each vertex image; a graph with a vertex that has no
-        dart goes through `vertex_perm` instead.
+        vertex gives each vertex image.
         """
         dart_vertex = self.graph._dart_vertex
         (v0, vertex_count), (e0, edge_count) = self._vertices, self._edges
@@ -531,11 +535,10 @@ class GraphAut:
         for d, v in enumerate(dart_vertex):
             one_dart[v] = d
         if None in one_dart:
-            vertex_images = [self.vertex_perm(g).images for g in self.group.generators]
-        else:
-            vertex_images = [
-                [dart_vertex[g.images[d]] for d in one_dart] for g in self.group.generators
-            ]
+            raise ValueError(_DARTLESS)
+        vertex_images = [
+            [dart_vertex[g.images[d]] for d in one_dart] for g in self.group.generators
+        ]
         gens = [
             Perm._unchecked(
                 g.images

@@ -221,6 +221,14 @@ class TestAutomorphisms:
                 images = tuple(w - start for w in q.images[start : start + count])
                 assert images == aut.vertex_perm(p).images, g
 
+    def test_vertex_without_dart_rejected(self):
+        # only a disconnected graph can have a vertex with no dart
+        aut = automorphism_group(DartGraph(3, [(0, 1)] * 3, require_connected=False))
+        with pytest.raises(ValueError, match="no dart"):
+            aut.vertex_perm(aut.group.generators[0])
+        with pytest.raises(ValueError, match="no dart"):
+            aut.lifted
+
     def test_simple_graph_dart_group_equals_vertex_group(self):
         # a simple graph's dart action is determined by the vertex action
         for g in (complete_graph(4), complete_graph(5), circulant_graph(8)):
