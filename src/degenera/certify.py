@@ -1,13 +1,13 @@
 """Non-splitness certification for the conic attached to a stable dual graph.
 
 The engine extracts a stabilizer tower from the automorphism group acting on
-darts, vertices and edges: G1 = Aut, G2 = Stab(base vertex), G4 = Stab(base
-edge) and G3 = Stab(a dart of that edge).  For a non-loop edge G3 coincides
-with G2 meet G4; for a loop the dart-level stabilizer is the index-2
-refinement that keeps the branch double cover nondegenerate.  Each of these
-is the stabilizer of a point of that action, so one walk of the orbit of
-(base dart, base vertex, base edge) gives every order in the tower by
-orbit-stabilizer, |Stab(x)| = |G1| / |G1·x|, with no chain.
+darts: G1 = Aut, G2 = Stab(base vertex), G4 = Stab(base edge) and G3 =
+Stab(a dart of that edge).  For a non-loop edge G3 coincides with G2 meet
+G4; for a loop the dart-level stabilizer is the index-2 refinement that
+keeps the branch double cover nondegenerate.  An automorphism sends the
+base dart d0 to g(d0), which sits at g(v0) on g(e0), so one walk of the
+orbit of d0 also lists the orbits of v0 and e0, and gives every order in
+the tower by orbit-stabilizer, |Stab(x)| = |G1| / |G1·x|, with no chain.
 
 Reconstruction rebuilds a graph from cosets alone (vertices G1/G2, edges
 G1/G4, darts G1/G3), read as the orbits of the base points, and checks it
@@ -21,7 +21,7 @@ comes from the generator search, and the group data of certification come
 from orbit walks as well: G2's action on the darts at v0 from Schreier
 generators over the orbit of v0, and the search runs on G2's image on Ω,
 which has at most m! elements.  When every degree is at least 4, no
-stabilizer chain is built on the darts or the lifted points.
+stabilizer chain is built on the darts.
 """
 
 from __future__ import annotations
@@ -56,11 +56,12 @@ class NoEndpointSwapError(ValueError):
 class ClutchingData:
     """Stabilizer tower of a pointed edge in the dart automorphism group.
 
-    walk is the orbit of (d0, v0, e0) on lifted points, in walk order, and
-    every order comes from it by orbit-stabilizer: |G2| = |G1| / n over the
-    n distinct vertices, |G3| = |G1| / len(walk) and |G4| = |G1| / (number
-    of distinct edges).  m = len(walk) / n is the branch orbit size [G2:G3];
-    the reconstructed graph has n vertices of degree m.
+    walk is the orbit of the base dart d0, in walk order; dart d of it sits
+    at vertex graph.vertex_of(d) on edge d >> 1.  Every order comes from it
+    by orbit-stabilizer: |G2| = |G1| / n over the n distinct vertices,
+    |G3| = |G1| / len(walk) and |G4| = |G1| / (number of distinct edges).
+    m = len(walk) / n is the branch orbit size [G2:G3]; the reconstructed
+    graph has n vertices of degree m.
     """
 
     graph: DartGraph
@@ -73,7 +74,7 @@ class ClutchingData:
     m: int
 
     def orders(self):
-        g1, edges = self.g1_order, len({e for _, _, e in self.walk})
+        g1, edges = self.g1_order, len({d >> 1 for d in self.walk})
         return (g1, g1 // self.n, g1 // len(self.walk), g1 // edges)
 
 
@@ -81,8 +82,8 @@ def stabilizer_tower(graph, base_vertex, base_edge):
     """Tower of stabilizers for a vertex and an incident edge.
 
     The base dart is the dart of the edge at the base vertex (the lower
-    numbered one for a loop).  The walk of the orbit of (d0, v0, e0) lists
-    the darts of G1/G3: g(d0) sits at g(v0) on g(e0).
+    numbered one for a loop).  The walk of the orbit of d0 lists the darts
+    of G1/G3: g(d0) sits at g(v0) on g(e0).
     """
     if not graph.is_stable():
         raise ValueError("stabilizer tower needs a stable graph (all degrees >= 3)")
@@ -98,16 +99,15 @@ def stabilizer_tower(graph, base_vertex, base_edge):
     else:
         base_dart = graph.dart_at(base_edge, base_vertex)
     aut = automorphism_group(graph)
-    darts, vertices = graph.dart_count, graph.vertex_count
-    walk = [(base_dart, darts + base_vertex, darts + vertices + base_edge)]
-    seen = set(walk)
-    for triple in walk:
-        for g in aut.lifted.generators:
-            image = tuple(g.images[x] for x in triple)
+    walk = [base_dart]
+    seen = {base_dart}
+    for d in walk:
+        for g in aut.group.generators:
+            image = g.images[d]
             if image not in seen:
                 seen.add(image)
                 walk.append(image)
-    n = len({v for _, v, _ in walk})
+    n = len({graph.vertex_of(d) for d in walk})
     return ClutchingData(
         graph=graph,
         base_vertex=base_vertex,
@@ -124,7 +124,7 @@ def gamma_dagger(cd):
     """Rebuild a graph from the tower: vertices G1/G2, edges G1/G4, darts G1/G3.
 
     The coset gH is the image under g of the point H fixes, so the darts are
-    the stored walk of (d0, v0, e0).
+    the stored walk of d0, each at the vertex and on the edge of its dart.
 
     Each edge coset contains exactly two dart cosets, which the involution
     pairs.  The output may be disconnected (the orbit of the base edge need
@@ -132,10 +132,13 @@ def gamma_dagger(cd):
     connectivity requirement.
     """
     vertex_index = {}
-    dart_vertex = [vertex_index.setdefault(v, len(vertex_index)) for _, v, _ in cd.walk]
+    dart_vertex = [
+        vertex_index.setdefault(cd.graph.vertex_of(d), len(vertex_index))
+        for d in cd.walk
+    ]
     by_edge = {}
-    for d, (_, _, e) in enumerate(cd.walk):
-        by_edge.setdefault(e, []).append(d)
+    for i, d in enumerate(cd.walk):
+        by_edge.setdefault(d >> 1, []).append(i)
     if len(cd.walk) != 2 * len(by_edge):
         raise NoEndpointSwapError(
             "no endpoint swap on edge %d: the dart pair stabilizer has index %d "
@@ -279,26 +282,24 @@ def _branch_lifts(aut, base_vertex):
 
     By Schreier's lemma G2 is generated by the elements u_y^-1 g u_x, for
     every vertex x in the orbit of v0 and every generator g of G1, where u_x
-    in G1 sends v0 to x (built by walking that orbit) and y = g(x).  Their
-    actions on the darts at v0 therefore generate G2's action there, which
-    is all the even-orbit search reads.  Each action is computed on those
+    in G1 sends v0 to x (built by walking that orbit) and y = g(x), the
+    vertex of g(u_x(d)) for any dart d at v0.  Their actions on the darts
+    at v0 therefore generate G2's action there, which is all the
+    even-orbit search reads.  Each action is computed on those
     darts alone; a full dart permutation is built only for an action not
     seen before (the identity counts as seen), and any element with that
     action would do.
     """
     graph = aut.graph
-    darts = graph.dart_count
     at_v0 = graph.darts_at(base_vertex)
-    gens = [
-        (g.images, lifted.images)
-        for g, lifted in zip(aut.group.generators, aut.lifted.generators)
-    ]
-    transversal = {base_vertex: tuple(range(darts))}
+    one_dart = at_v0[0]
+    gens = [g.images for g in aut.group.generators]
+    transversal = {base_vertex: tuple(range(graph.dart_count))}
     orbit = [base_vertex]
     for x in orbit:
         ux = transversal[x]
-        for g, lifted in gens:
-            y = lifted[darts + x] - darts
+        for g in gens:
+            y = graph.vertex_of(g[ux[one_dart]])
             if y not in transversal:
                 transversal[y] = tuple(map(g.__getitem__, ux))
                 orbit.append(y)
@@ -307,8 +308,8 @@ def _branch_lifts(aut, base_vertex):
     lifts = []
     for x in orbit:
         ux = transversal[x]
-        for g, lifted in gens:
-            y = lifted[darts + x] - darts
+        for g in gens:
+            y = graph.vertex_of(g[ux[one_dart]])
             to_v0 = back[y]
             action = tuple(to_v0[g[ux[d]]] for d in at_v0)
             if action not in seen:

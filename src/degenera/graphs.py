@@ -15,7 +15,9 @@ first-in-orbit pruning: each base point needs at most (orbit length - 1)
 generators, so their number follows the orbit lengths, not |Aut|, and
 those lengths give |Aut| with no stabilizer chain.  One
 iterative first-solution backtrack serves both that search and
-find_isomorphism.
+find_isomorphism.  The dart action is the only group built: a vertex
+orbit is the set of vertices of the darts in one dart orbit, and an edge
+orbit the set of their edges.
 """
 
 from __future__ import annotations
@@ -494,15 +496,15 @@ class GraphAut:
     """Automorphism group of a graph in its faithful action on darts.
 
     order is |Aut|, known from the generator search, so reading it builds
-    no stabilizer chain; group.order() recomputes it through one.
+    no stabilizer chain; group.order() recomputes it through one.  Vertex
+    and edge orbits are read off the dart orbits: dart d sits at vertex
+    vertex_of(d) on edge d >> 1.
     """
 
     def __init__(self, graph, group, order):
         self.graph = graph
         self.group = group
         self.order = order
-        self._vertices = (graph.dart_count, graph.vertex_count)
-        self._edges = (graph.dart_count + graph.vertex_count, graph.edge_count)
 
     def vertex_perm(self, p):
         """Vertex permutation covered by a dart permutation in the group."""
@@ -518,46 +520,21 @@ class GraphAut:
             raise ValueError(_DARTLESS)
         return Perm(images)
 
-    def edge_perm(self, p):
-        darts = self.graph.dart_count
-        return Perm._unchecked(tuple(d >> 1 for d in p.images[:darts:2]))
-
     @cached_property
-    def lifted(self):
-        """The group on darts 0..D-1, vertices from D and edges from D + V.
-
-        The generators are automorphisms, so the image of one dart per
-        vertex gives each vertex image.
-        """
-        dart_vertex = self.graph._dart_vertex
-        (v0, vertex_count), (e0, edge_count) = self._vertices, self._edges
-        one_dart = [None] * vertex_count
-        for d, v in enumerate(dart_vertex):
-            one_dart[v] = d
-        if None in one_dart:
+    def _dart_orbits(self):
+        if 0 in self.graph.degrees():
             raise ValueError(_DARTLESS)
-        vertex_images = [
-            [dart_vertex[g.images[d]] for d in one_dart] for g in self.group.generators
-        ]
-        gens = [
-            Perm._unchecked(
-                g.images
-                + tuple(v0 + w for w in images)
-                + tuple(e0 + f for f in self.edge_perm(g).images)
-            )
-            for g, images in zip(self.group.generators, vertex_images)
-        ]
-        return PermGroup(e0 + edge_count, gens)
+        return self.group.orbits()
 
-    def _orbits(self, start, count):
-        orbits = self.lifted.orbits(points=range(start, start + count))
-        return [tuple(x - start for x in orb) for orb in orbits]
+    def _orbits(self, point_of):
+        orbits = self._dart_orbits
+        return sorted({tuple(sorted({point_of(d) for d in orb})) for orb in orbits})
 
     def vertex_orbits(self):
-        return self._orbits(*self._vertices)
+        return self._orbits(self.graph.vertex_of)
 
     def edge_orbits(self):
-        return self._orbits(*self._edges)
+        return self._orbits(self.graph.edge_of)
 
     def is_vertex_transitive(self):
         return len(self.vertex_orbits()) == 1

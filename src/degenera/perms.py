@@ -96,7 +96,7 @@ class Perm:
         return result
 
     def is_identity(self):
-        return all(x == i for i, x in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def first_moved(self):
         """Smallest point not fixed, or None for the identity."""
@@ -364,13 +364,14 @@ class PermGroup:
         """Orbit partition of the given points (default all), sorted by minimum."""
         if points is None:
             points = range(self.degree)
-        remaining = set(points)
+        wanted = set(points)
+        placed = set()
         out = []
-        while remaining:
-            x = min(remaining)
-            orb = self.orbit(x) & remaining
-            remaining -= orb
-            out.append(tuple(sorted(orb)))
+        for x in sorted(wanted):
+            if x not in placed:
+                orb = self.orbit(x)
+                placed |= orb
+                out.append(tuple(sorted(orb & wanted)))
         return out
 
     def pointwise_stabilizer(self, points):

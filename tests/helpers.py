@@ -3,8 +3,9 @@
 Everything here is deliberately naive: brute-force closures, Sylvester
 determinants over Fractions, exhaustive dart-permutation filters, networkx
 vertex automorphisms with the orbit bound they give along a base,
-vertex and edge stabilizers from Schreier-Sims chains on the lifted
-points, coset tables (for reconstruction and the even-orbit search), and
+vertex and edge stabilizers from Schreier-Sims chains on a lifted action
+(darts, vertices and edges) built here from each generator's vertex and
+edge images, coset tables (for reconstruction and the even-orbit search), and
 trial-division factorization.  None of it shares code with the package
 internals it checks.
 """
@@ -210,13 +211,30 @@ def sympy_degree_pattern(coeffs, p):
 
 
 def _lifted_stabilizer(aut, start, count, index):
-    """Stabilizer of lifted point start + index, restricted back to the darts."""
+    """Stabilizer of lifted point start + index, restricted back to the darts.
+
+    The lifted group acts on darts 0..D-1, vertices from D and edges from
+    D + V; each generator's vertex images come from aut.vertex_perm and its
+    edge images from d >> 1 on the even darts.
+    """
     from degenera.perms import PermGroup
 
     if not 0 <= index < count:
         raise ValueError("index %d out of range 0..%d" % (index, count - 1))
-    fixed = aut.lifted.pointwise_stabilizer((start + index,))
-    darts = aut.graph.dart_count
+    graph = aut.graph
+    darts, vertices = graph.dart_count, graph.vertex_count
+    lifted = PermGroup(
+        darts + vertices + graph.edge_count,
+        [
+            Perm(
+                g.images
+                + tuple(darts + w for w in aut.vertex_perm(g).images)
+                + tuple(darts + vertices + (d >> 1) for d in g.images[::2])
+            )
+            for g in aut.group.generators
+        ],
+    )
+    fixed = lifted.pointwise_stabilizer((start + index,))
     return PermGroup(darts, [Perm(h.images[:darts]) for h in fixed.generators])
 
 
@@ -257,7 +275,7 @@ def coset_gamma_dagger(cd):
     Darts are the cosets G1/G3; dart gG3 sits at vertex gG2 on edge gG4,
     each coset found by linear search through a CosetAction.  This keeps
     the reconstruction's coset claim under test independently of the
-    package's orbit walk over lifted points.
+    package's walk of the orbit of the base dart.
     """
     from degenera.graphs import DartGraph
     from degenera.perms import CosetAction

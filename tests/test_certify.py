@@ -229,6 +229,10 @@ class TestTowerOrdersOracle:
             g1, g2, g3, g4 = (h.order() for h in tower_groups(cd))
             assert cd.orders() == (g1, g2, g3, g4)
             assert (cd.n, cd.m) == (g1 // g2, g2 // g3)
+            dart_orbits = automorphism_group(g).group.orbits()
+            assert set(cd.walk) == set(
+                next(o for o in dart_orbits if cd.base_dart in o)
+            )
             swapped = g4 != g3
             swaps[swapped] += 1
             if swapped:

@@ -105,6 +105,7 @@ class TestPermGroup:
         assert g.orbits() == [(0, 1, 2), (3,), (4,)]
         assert g.orbit(1) == {0, 1, 2}
         assert g.orbits(points=(3, 4)) == [(3,), (4,)]
+        assert g.orbits(points=(1, 4)) == [(1,), (4,)]
 
     def test_elements_cap(self):
         with pytest.raises(EnumerationCapError):
