@@ -19,6 +19,11 @@ of the vertex stabilizer on one branch orbit of m darts, at most m!.  An
 image larger than the cap is refused before any is enumerated, and a
 branch orbit of odd size is settled without enumerating anything.
 `python -m degenera` runs the same tool.
+
+`main` builds one parser per call: that of the leaf in `_COMMANDS` named by
+the first one or two words of argv, whose handler finds the pipeline in this
+module's globals at call time.  The overview parser (top level, groups and
+leaf stubs) is built only for help, `--version` and usage errors.
 """
 
 from __future__ import annotations
@@ -54,62 +59,61 @@ from .frobenius import (
 )
 
 
-def _build_parser():
+def _leaf_parser(words, default_bound):
+    """--format, then a polynomial and --bound, or a graph source if no bound."""
+    parser = argparse.ArgumentParser(prog="degenera " + " ".join(words))
+    parser.set_defaults(subcommand=words[-1])
+    parser.add_argument(
+        "--format",
+        choices=("text", "structured"),
+        default="text",
+        help="report format (structured = one JSON object)",
+    )
+    if default_bound is not None:
+        parser.add_argument("poly", help="polynomial, e.g. 'x^4-x-1' or '-1,-1,0,0,1'")
+        parser.add_argument("--bound", type=int, default=default_bound)
+        return parser
+    parser.add_argument("path", nargs="?", help="graph file (vertices/edge lines)")
+    parser.add_argument("--file", help="graph file (alternative to the positional)")
+    parser.add_argument("--family", choices=FAMILY_NAMES, help="built-in family")
+    parser.add_argument("--genus", type=int, help="genus for parametrized families")
+    parser.add_argument(
+        "--base-vertex", type=int, default=0, help="base vertex for stabilizers"
+    )
+    return parser
+
+
+_HELP = {
+    "graph": "graph-level operations",
+    "analyze": "genus, degrees, automorphisms, admissibility",
+    "certify": "run the even-orbit non-splitness pipeline",
+    "clutch": "coset reconstruction",
+    "roundtrip": "rebuild the graph from its stabilizer tower, per edge orbit",
+    "frobenius": "degree patterns modulo primes",
+    "census": "pattern counts over all primes up to the bound",
+    "witness": "two smallest primes with all-even patterns",
+    "galois": "observed patterns and symmetric-group check",
+}
+
+
+def _overview_parser():
+    """Top level and groups, each leaf an argument-less stub with its help line."""
     parser = argparse.ArgumentParser(
         prog="degenera",
         description="Non-splitness certificates for conics attached to "
         "totally degenerate stable curves, via even orbits on coset spaces.",
     )
     parser.add_argument("--version", action="version", version="degenera " + __version__)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="report format (structured = one JSON object)",
-    )
-
-    source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("path", nargs="?", help="graph file (vertices/edge lines)")
-    source.add_argument("--file", help="graph file (alternative to the positional)")
-    source.add_argument("--family", choices=FAMILY_NAMES, help="built-in family")
-    source.add_argument("--genus", type=int, help="genus for parametrized families")
-    source.add_argument(
-        "--base-vertex", type=int, default=0, help="base vertex for stabilizers"
-    )
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    graph = sub.add_parser("graph", help="graph-level operations")
-    graph_sub = graph.add_subparsers(dest="subcommand", required=True)
-    graph_sub.add_parser(
-        "analyze", parents=[common, source],
-        help="genus, degrees, automorphisms, admissibility",
-    )
-
-    sub.add_parser(
-        "certify", parents=[common, source],
-        help="run the even-orbit non-splitness pipeline",
-    )
-
-    clutch = sub.add_parser("clutch", help="coset reconstruction")
-    clutch_sub = clutch.add_subparsers(dest="subcommand", required=True)
-    clutch_sub.add_parser(
-        "roundtrip", parents=[common, source],
-        help="rebuild the graph from its stabilizer tower, per edge orbit",
-    )
-
-    frob = sub.add_parser("frobenius", help="degree patterns modulo primes")
-    frob_sub = frob.add_subparsers(dest="subcommand", required=True)
-    for name, default_bound, blurb in (
-        ("census", DEFAULT_CENSUS_BOUND, "pattern counts over all primes up to the bound"),
-        ("witness", DEFAULT_WITNESS_BOUND, "two smallest primes with all-even patterns"),
-        ("galois", DEFAULT_WITNESS_BOUND, "observed patterns and symmetric-group check"),
-    ):
-        p = frob_sub.add_parser(name, parents=[common], help=blurb)
-        p.add_argument("poly", help="polynomial, e.g. 'x^4-x-1' or '-1,-1,0,0,1'")
-        p.add_argument("--bound", type=int, default=default_bound)
+    groups = {}
+    for words in _COMMANDS:
+        if len(words) == 1:
+            sub.add_parser(words[0], help=_HELP[words[0]])
+            continue
+        if words[0] not in groups:
+            group = sub.add_parser(words[0], help=_HELP[words[0]])
+            groups[words[0]] = group.add_subparsers(dest="subcommand", required=True)
+        groups[words[0]].add_parser(words[1], help=_HELP[words[1]])
     return parser
 
 
@@ -117,6 +121,8 @@ def _load_graph(args):
     chosen = [s for s in (args.path, args.file, args.family) if s]
     if len(chosen) != 1:
         raise ValueError("give exactly one graph source: a path, --file, or --family")
+    if args.genus is not None and args.family not in ("circulant", "double-cycle"):
+        raise ValueError("--genus applies only to the circulant and double-cycle families")
     if args.family:
         graph = family(args.family, args.genus)
         label = "family %s" % args.family
@@ -135,11 +141,7 @@ def _load_graph(args):
 
 
 def _graph_input(graph, label):
-    return {
-        "source": label,
-        "vertices": graph.vertex_count,
-        "edges": graph.edge_count,
-    }
+    return {"source": label, "vertices": graph.vertex_count, "edges": graph.edge_count}
 
 
 def _fmt_pattern(pat):
@@ -197,7 +199,7 @@ def _cmd_certify(args, cap):
             % (verdict.base_vertex, verdict.g2_order, verdict.n)
         )
     for rep in verdict.per_orbit:
-        head = (
+        lines.append(
             "orbit (edge orbit %d, base edge %d%s): cosets %d, |G3| = %d, |G4| = %d"
             % (
                 rep.edge_orbit_index,
@@ -208,7 +210,6 @@ def _cmd_certify(args, cap):
                 rep.g4_order,
             )
         )
-        lines.append(head)
         if rep.certificate is None:
             lines.append("  no even-orbit certificate")
         else:
@@ -328,16 +329,25 @@ def _yn(flag):
     return "yes" if flag else "no"
 
 
-def _command_label(args):
-    if getattr(args, "subcommand", None):
-        return "%s %s" % (args.command, args.subcommand)
-    return args.command
+# Command words -> (handler, default --bound, or None for a graph source).
+_COMMANDS = {
+    ("graph", "analyze"): (_cmd_graph_analyze, None),
+    ("certify",): (_cmd_certify, None),
+    ("clutch", "roundtrip"): (_cmd_roundtrip, None),
+    ("frobenius", "census"): (_cmd_frobenius, DEFAULT_CENSUS_BOUND),
+    ("frobenius", "witness"): (_cmd_frobenius, DEFAULT_WITNESS_BOUND),
+    ("frobenius", "galois"): (_cmd_frobenius, DEFAULT_WITNESS_BOUND),
+}
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = tuple(argv[:2]) if tuple(argv[:2]) in _COMMANDS else tuple(argv[:1])
     try:
-        args = parser.parse_args(argv)
+        if words not in _COMMANDS:
+            _overview_parser().parse_args(argv)  # help, --version or an error: exits
+        handler, default_bound = _COMMANDS[words]
+        args = _leaf_parser(words, default_bound).parse_args(argv[len(words):])
     except SystemExit as exc:
         return int(exc.code or 0)
     cap = DEFAULT_ENUMERATION_CAP
@@ -350,15 +360,9 @@ def main(argv=None):
         if cap <= 0:
             print("error: DEGENERA_CAP must be a positive integer", file=sys.stderr)
             return 2
-    handlers = {
-        "graph": _cmd_graph_analyze,
-        "certify": _cmd_certify,
-        "clutch": _cmd_roundtrip,
-        "frobenius": _cmd_frobenius,
-    }
     started = time.perf_counter()
     try:
-        info, result, lines, code = handlers[args.command](args, cap)
+        info, result, lines, code = handler(args, cap)
     except (ValueError, EnumerationCapError, ChildProcessError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -366,11 +370,10 @@ def main(argv=None):
         print("error: out of memory; try a smaller input", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    label = _command_label(args)
     try:
         if args.format == "structured":
             report = {
-                "command": label,
+                "command": " ".join(words),
                 "input": info,
                 "result": result,
                 "timing_ms": round(elapsed_ms, 3),
@@ -378,7 +381,7 @@ def main(argv=None):
             }
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
-            print("degenera %s" % label)
+            print("degenera %s" % " ".join(words))
             print("input: %s" % _describe_input(info))
             for line in lines:
                 print(line)
@@ -390,11 +393,7 @@ def main(argv=None):
 
 def _describe_input(info):
     if "vertices" in info:
-        return "%s (%d vertices, %d edges)" % (
-            info["source"],
-            info["vertices"],
-            info["edges"],
-        )
+        return "%(source)s (%(vertices)d vertices, %(edges)d edges)" % info
     return "%s, bound %d" % (info["poly"], info["bound"])
 
 

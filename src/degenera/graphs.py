@@ -448,11 +448,13 @@ def _vertex_generators(graph):
     return gens, order
 
 
-def _lift_vertex_map(a, b, sigma):
-    """Canonical dart map covering sigma: k-th parallel edge to k-th parallel edge."""
-    classes_b = b.parallel_classes()
+def _lift_vertex_map(a, b, sigma, classes_a, classes_b):
+    """Canonical dart map covering sigma: k-th parallel edge to k-th parallel edge.
+
+    classes_a and classes_b are a.parallel_classes() and b.parallel_classes().
+    """
     images = [None] * a.dart_count
-    for (u, v), edge_ids in a.parallel_classes().items():
+    for (u, v), edge_ids in classes_a.items():
         su, sv = sigma[u], sigma[v]
         targets = classes_b[(min(su, sv), max(su, sv))]
         for e, f in zip(edge_ids, targets):
@@ -465,11 +467,11 @@ def _lift_vertex_map(a, b, sigma):
     return images
 
 
-def _local_generators(graph):
+def _local_generators(graph, classes):
     """Dart permutations fixing every vertex: parallel swaps and loop flips."""
     gens = []
     identity = list(range(graph.dart_count))
-    for (u, v), edge_ids in graph.parallel_classes().items():
+    for (u, v), edge_ids in classes.items():
         for e, f in zip(edge_ids, edge_ids[1:]):
             images = identity[:]
             if u == v:
@@ -549,11 +551,12 @@ def automorphism_group(graph):
     edges (m!) and each class of k loops at a vertex, flipping loops too
     (k! 2^k).
     """
-    gens = _local_generators(graph)
+    classes = graph.parallel_classes()
+    gens = _local_generators(graph, classes)
     vertex_gens, order = _vertex_generators(graph)
     for sigma in vertex_gens:
-        gens.append(Perm(_lift_vertex_map(graph, graph, sigma)))
-    for (u, v), edge_ids in graph.parallel_classes().items():
+        gens.append(Perm(_lift_vertex_map(graph, graph, sigma, classes, classes)))
+    for (u, v), edge_ids in classes.items():
         k = len(edge_ids)
         order *= factorial(k) << (k if u == v else 0)
     return GraphAut(graph, PermGroup(graph.dart_count, gens), order)
@@ -593,7 +596,9 @@ def find_isomorphism(a, b):
         return None
     matcher = _VertexMatcher(a, b)
     sigma = matcher.complete(matcher.order)
-    return None if sigma is None else _lift_vertex_map(a, b, sigma)
+    if sigma is None:
+        return None
+    return _lift_vertex_map(a, b, sigma, a.parallel_classes(), b.parallel_classes())
 
 
 def is_isomorphic(a, b):

@@ -1,7 +1,9 @@
+import argparse
 import errno
 import io
 import json
 import os
+import runpy
 import signal
 import subprocess
 import sys
@@ -79,6 +81,84 @@ class TestParsing:
         code, _, err = run_cli(capsys, "certify", "--family", "k5", "--seed", "1")
         assert code == 2
         assert "--seed" in err
+
+    @pytest.mark.parametrize("family", ["k5", "theta-loops"])
+    def test_genus_rejected_for_fixed_family(self, capsys, family):
+        code, out, err = run_cli(
+            capsys, "graph", "analyze", "--family", family, "--genus", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --genus applies only to the circulant and double-cycle families\n"
+        )
+
+    @pytest.mark.parametrize("flag", [[], ["--file"]])
+    def test_genus_rejected_for_file_source(self, capsys, tmp_path, flag):
+        path = tmp_path / "k5.graph"
+        path.write_text(complete_graph(5).to_text())
+        code, out, err = run_cli(capsys, "certify", *flag, str(path), "--genus", "3")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: --genus")
+
+
+LEAVES = {
+    ("graph", "analyze"): ["--family", "k5"],
+    ("certify",): ["--family", "k5"],
+    ("clutch", "roundtrip"): ["--family", "theta-loops"],
+    ("frobenius", "census"): ["x^2+1", "--bound", "100"],
+    ("frobenius", "witness"): ["x^4-x-1", "--bound", "100"],
+    ("frobenius", "galois"): ["x^4-x-1", "--bound", "100"],
+}
+
+
+class TestDispatch:
+    @pytest.fixture
+    def parsers_built(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return built
+
+    @pytest.mark.parametrize("words", LEAVES, ids=" ".join)
+    def test_one_parser_per_leaf_call(self, capsys, parsers_built, words):
+        argv = list(words) + LEAVES[words]
+        assert run_cli(capsys, *argv)[0] in (0, 1)
+        assert parsers_built == ["degenera " + " ".join(words)]
+        run_cli(capsys, *argv)
+        assert len(parsers_built) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["graph"], ["frobenius"], ["frobble"], []], ids=repr
+    )
+    def test_no_leaf_prints_usage(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: degenera")
+
+    @pytest.mark.parametrize("words", LEAVES, ids=" ".join)
+    def test_unknown_option_names_it(self, capsys, words):
+        code, out, err = run_cli(capsys, *words, *LEAVES[words], "--colour")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: degenera %s " % " ".join(words))
+        assert err.endswith("error: unrecognized arguments: --colour\n")
+
+    @pytest.mark.parametrize("words", LEAVES, ids=" ".join)
+    def test_leaf_help(self, capsys, words):
+        code, out, err = run_cli(capsys, *words, "-h")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: degenera %s [-h] [--format" % " ".join(words))
+
+    def test_python_m_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["degenera", "certify", "--family", "k5"])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("degenera", run_name="__main__")
+        assert exit_info.value.code == 0
+        assert "status: CERTIFIED_NONSPLIT" in capsys.readouterr().out
 
 
 class TestAnalyze:

@@ -164,6 +164,25 @@ class TestAutomorphisms:
             aut = automorphism_group(doubled_cycle(genus))
             assert aut.group.order() == 2 * n * 2**n
 
+    def test_parallel_classes_read_once_per_search(self, monkeypatch):
+        # each lifted vertex generator and each isomorphism reuses one grouping
+        g = doubled_cycle(6)
+        calls = []
+        classes = DartGraph.parallel_classes
+
+        def counting(self):
+            calls.append(self)
+            return classes(self)
+
+        monkeypatch.setattr(DartGraph, "parallel_classes", counting)
+        automorphism_group.cache_clear()
+        # five parallel swaps and at least two lifted vertex generators
+        assert len(automorphism_group(g).group.generators) >= 7
+        assert calls == [g]
+        calls.clear()
+        assert find_isomorphism(g, doubled_cycle(6)) is not None
+        assert len(calls) == 2
+
     def test_theta_exhaustive(self):
         g = theta_loops()
         aut = automorphism_group(g)
