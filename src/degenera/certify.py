@@ -17,11 +17,11 @@ element witnesses nonzero 2-torsion in the relative Brauer group of the
 corresponding global field extension, hence a conic with no rational point.
 Since G3 fixes the dart d0, G2/G3 is the dart orbit Ω = G2·d0, and the
 search reads those orbit sizes as cycle lengths on the darts of Ω.  |G1|
-comes from the generator search, and the group data of certification come
-from orbit walks as well: G2's action on the darts at v0 from Schreier
-generators over the orbit of v0, and the search runs on G2's image on Ω,
-which has at most m! elements.  When every degree is at least 4, no
-stabilizer chain is built on the darts.
+comes from the generator search, rooted at v0 for certification, so the
+generators it found that fix v0, with the parallel swaps and loop flips,
+generate G2 and |G2| = |G1| / |orbit of v0|.  The search runs on G2's
+image on Ω, which has at most m! elements.  When every degree is at least
+4, no stabilizer chain is built on the darts.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Optional
 from .perms import (
     DEFAULT_ENUMERATION_CAP,
     OrbitCertificate,
-    Perm,
     PermGroup,
     even_orbit_search,
 )
@@ -208,10 +207,6 @@ def roundtrip_report(graph, base_vertex=0):
     return reports
 
 
-def roundtrip_check(graph, base_vertex=0):
-    return all(r.ok for r in roundtrip_report(graph, base_vertex))
-
-
 @dataclass(frozen=True)
 class OrbitSearchReport:
     """Even-orbit search outcome for one orbit of branches at the base vertex."""
@@ -276,49 +271,6 @@ class Verdict:
         }
 
 
-def _branch_lifts(aut, base_vertex):
-    """Elements of G2 = Stab(v0), one for each action on the darts at v0 that
-    a Schreier generator has, and the size of the orbit of v0.
-
-    By Schreier's lemma G2 is generated by the elements u_y^-1 g u_x, for
-    every vertex x in the orbit of v0 and every generator g of G1, where u_x
-    in G1 sends v0 to x (built by walking that orbit) and y = g(x), the
-    vertex of g(u_x(d)) for any dart d at v0.  Their actions on the darts
-    at v0 therefore generate G2's action there, which is all the
-    even-orbit search reads.  Each action is computed on those
-    darts alone; a full dart permutation is built only for an action not
-    seen before (the identity counts as seen), and any element with that
-    action would do.
-    """
-    graph = aut.graph
-    at_v0 = graph.darts_at(base_vertex)
-    one_dart = at_v0[0]
-    gens = [g.images for g in aut.group.generators]
-    transversal = {base_vertex: tuple(range(graph.dart_count))}
-    orbit = [base_vertex]
-    for x in orbit:
-        ux = transversal[x]
-        for g in gens:
-            y = graph.vertex_of(g[ux[one_dart]])
-            if y not in transversal:
-                transversal[y] = tuple(map(g.__getitem__, ux))
-                orbit.append(y)
-    back = {x: {ux[d]: d for d in at_v0} for x, ux in transversal.items()}
-    seen = {at_v0}
-    lifts = []
-    for x in orbit:
-        ux = transversal[x]
-        for g in gens:
-            y = graph.vertex_of(g[ux[one_dart]])
-            to_v0 = back[y]
-            action = tuple(to_v0[g[ux[d]]] for d in at_v0)
-            if action not in seen:
-                seen.add(action)
-                uy_inverse = Perm._unchecked(transversal[y]).inverse().images
-                lifts.append(Perm._unchecked(tuple(uy_inverse[g[w]] for w in ux)))
-    return lifts, len(orbit)
-
-
 def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
     """Run the full pipeline and return a verdict with per-orbit evidence.
 
@@ -330,16 +282,16 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
     certificate was found.
 
     No stabilizer chain is built on the darts: |G2| = |G1| / |orbit of v0|
-    and |G3| = |G2| / m by orbit-stabilizer, and the search runs on a
-    subgroup of G2 that acts on the darts at v0 as G2 does
-    (_branch_lifts), so it sees the same branch orbits and the same image
-    on each.
+    and |G3| = |G2| / m by orbit-stabilizer.  The generator search of Aut
+    is rooted at v0, so the generators it found that fix v0, with the
+    parallel swaps and loop flips, generate G2 itself, and the search runs
+    on them.
     """
     if not graph.is_stable():
         raise ValueError("certification needs a stable graph (all degrees >= 3)")
     if not (0 <= base_vertex < graph.vertex_count):
         raise ValueError("base vertex %d out of range" % base_vertex)
-    aut = automorphism_group(graph)
+    aut = automorphism_group(graph, base_vertex)
     g1_order = aut.order
     from .graphs import is_admissible
 
@@ -358,17 +310,17 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
             n=None,
             per_orbit=(),
         )
-    lifts, n = _branch_lifts(aut, base_vertex)
+    n = aut.root_orbit
     g2_order = g1_order // n
-    branches = PermGroup(graph.dart_count, lifts)
+    g2 = PermGroup(graph.dart_count, aut.root_stabilizer)
     edge_orbits = aut.edge_orbits()
     edge_orbit_of = {k: idx for idx, orbit in enumerate(edge_orbits) for k in orbit}
     reports = []
-    for dart_orbit in branches.orbits(points=graph.darts_at(base_vertex)):
+    for dart_orbit in g2.orbits(points=graph.darts_at(base_vertex)):
         d0 = dart_orbit[0]
         e0 = graph.edge_of(d0)
         m = len(dart_orbit)
-        cert = even_orbit_search(branches, d0, cap=cap)
+        cert = even_orbit_search(g2, d0, cap=cap)
         reports.append(
             OrbitSearchReport(
                 edge_orbit_index=edge_orbit_of[e0],

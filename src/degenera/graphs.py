@@ -13,7 +13,9 @@ generating set of the multiplicity-preserving vertex automorphisms.  That
 set comes from a search along a breadth-first vertex base with
 first-in-orbit pruning: each base point needs at most (orbit length - 1)
 generators, so their number follows the orbit lengths, not |Aut|, and
-those lengths give |Aut| with no stabilizer chain.  One
+those lengths give |Aut| with no stabilizer chain.  The base starts at a
+chosen root vertex, and the generators found before its level, with the
+local ones, generate the stabilizer of the root.  One
 iterative first-solution backtrack serves both that search and
 find_isomorphism.  The dart action is the only group built: a vertex
 orbit is the set of vertices of the darts in one dart orbit, and an edge
@@ -23,6 +25,7 @@ orbit the set of their edges.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import factorial
 
 from .perms import Perm, PermGroup
@@ -257,8 +260,17 @@ def theta_loops():
     return DartGraph(2, [(0, 1), (0, 1), (0, 0), (1, 1)])
 
 
+# the double cycle of this genus takes about 0.5 GiB and 20-30 s per command
+GENUS_LIMIT = 4096
+
+
 def family(name, genus=None):
-    """Build one of the named degree-4 families: k5, circulant, double-cycle, theta-loops."""
+    """Build one of the named degree-4 families: k5, circulant, double-cycle, theta-loops.
+
+    A genus above GENUS_LIMIT is rejected before any edge list is built.
+    """
+    if genus is not None and genus > GENUS_LIMIT:
+        raise ValueError("genus %d exceeds the limit %d" % (genus, GENUS_LIMIT))
     if name == "k5":
         return complete_graph(5)
     if name == "circulant":
@@ -288,7 +300,7 @@ class _VertexMatcher:
     unmatched edge hides among the mapped vertices.
     """
 
-    def __init__(self, a, b):
+    def __init__(self, a, b, root=0):
         self.n = a.vertex_count
         self.nbrs_a, self.sig_a = _neighbourhoods(a)
         self.nbrs_b, self.sig_b = _neighbourhoods(b)
@@ -296,7 +308,7 @@ class _VertexMatcher:
         self.image = [None] * self.n
         self.used = [False] * self.n
         self.load = [0] * self.n
-        self.order = _search_order(self.nbrs_a)
+        self.order = _search_order(self.nbrs_a, root)
 
     def assign(self, v, w):
         self.image[v] = w
@@ -387,8 +399,9 @@ def _neighbourhoods(graph):
     return nbrs, sigs
 
 
-def _search_order(nbrs):
-    """Breadth-first order over every component, smallest unvisited root first.
+def _search_order(nbrs, root=0):
+    """Breadth-first order over every component, from root and then from the
+    smallest unvisited vertex.
 
     Every vertex but a root follows one of its neighbours, so in any suffix
     of the order preceded by an arbitrary mapped prefix, a vertex has a
@@ -396,11 +409,11 @@ def _search_order(nbrs):
     """
     seen = [False] * len(nbrs)
     order = []
-    for root in range(len(nbrs)):
-        if seen[root]:
+    for start in chain((root,), range(len(nbrs))):
+        if seen[start]:
             continue
-        seen[root] = True
-        order.append(root)
+        seen[start] = True
+        order.append(start)
         head = len(order) - 1
         while head < len(order):
             x = order[head]
@@ -412,20 +425,23 @@ def _search_order(nbrs):
     return order
 
 
-def _vertex_generators(graph):
+def _vertex_generators(graph, root=0):
     """Generators of the vertex automorphism group, by first-in-orbit pruning.
 
-    The base is the search order b_0, b_1, ..., and levels run from the
-    deepest up.  At level i the generators found so far fix b_0..b_i and
+    The base is the search order b_0 = root, b_1, ..., and levels run from
+    the deepest up.  At level i the generators found so far fix b_0..b_i and
     generate the stabilizer of those points.  Each image w of b_i outside
     their orbit of b_i gets one search for a first automorphism fixing
     b_0..b_(i-1) and sending b_i to w; a hit joins the generators and grows
     the orbit.  The orbit then holds every image of b_i, so by Schreier's
     lemma level i ends with the stabilizer of b_0..b_(i-1), after at most
-    (orbit length - 1) new generators.  Returns the generators and the
-    group order, the product of those final orbit lengths.
+    (orbit length - 1) new generators.  The generators found before level 0
+    therefore fix the root and generate its stabilizer, and those found at
+    level 0 move it.  Returns the generators in the order found, the group
+    order (the product of the final orbit lengths) and the length of the
+    orbit of the root.
     """
-    matcher = _VertexMatcher(graph, graph)
+    matcher = _VertexMatcher(graph, graph, root)
     base = matcher.order
     for v in base:
         matcher.assign(v, v)
@@ -445,7 +461,7 @@ def _vertex_generators(graph):
                 gens.append(sigma)
                 orbit = PermGroup(len(base), map(Perm._unchecked, gens)).orbit(b)
         order *= len(orbit)
-    return gens, order
+    return gens, order, len(orbit)
 
 
 def _lift_vertex_map(a, b, sigma, classes_a, classes_b):
@@ -500,13 +516,18 @@ class GraphAut:
     order is |Aut|, known from the generator search, so reading it builds
     no stabilizer chain; group.order() recomputes it through one.  Vertex
     and edge orbits are read off the dart orbits: dart d sits at vertex
-    vertex_of(d) on edge d >> 1.
+    vertex_of(d) on edge d >> 1.  The search that found the generators was
+    rooted at one vertex: root_stabilizer lists the generators that fix it,
+    which generate its stabilizer, and root_orbit is the length of its
+    orbit.
     """
 
-    def __init__(self, graph, group, order):
+    def __init__(self, graph, group, order, root_stabilizer, root_orbit):
         self.graph = graph
         self.group = group
         self.order = order
+        self.root_stabilizer = root_stabilizer
+        self.root_orbit = root_orbit
 
     def vertex_perm(self, p):
         """Vertex permutation covered by a dart permutation in the group."""
@@ -542,32 +563,39 @@ class GraphAut:
         return len(self.vertex_orbits()) == 1
 
 
-@lru_cache(maxsize=128)
-def automorphism_group(graph):
+def automorphism_group(graph, root=0):
     """The full automorphism group of the graph, acting on darts.
 
-    Its order is the number of vertex automorphisms times the order of the
-    kernel of the vertex action, which permutes each class of m parallel
-    edges (m!) and each class of k loops at a vertex, flipping loops too
-    (k! 2^k).
+    The generator search is rooted at the vertex root, so the returned
+    GraphAut also carries the stabilizer of root and the length of its
+    orbit.  Its order is the number of vertex automorphisms times the order
+    of the kernel of the vertex action, which permutes each class of m
+    parallel edges (m!) and each class of k loops at a vertex, flipping
+    loops too (k! 2^k).  Results are cached per (graph, root).
     """
+    if not 0 <= root < graph.vertex_count:
+        raise ValueError("root vertex %d out of range" % root)
+    return _automorphism_group(graph, root)
+
+
+@lru_cache(maxsize=128)
+def _automorphism_group(graph, root):
     classes = graph.parallel_classes()
-    gens = _local_generators(graph, classes)
-    vertex_gens, order = _vertex_generators(graph)
-    for sigma in vertex_gens:
-        gens.append(Perm(_lift_vertex_map(graph, graph, sigma, classes, classes)))
+    kernel = _local_generators(graph, classes)
+    vertex_gens, order, root_orbit = _vertex_generators(graph, root)
+    lifts = [
+        Perm(_lift_vertex_map(graph, graph, sigma, classes, classes))
+        for sigma in vertex_gens
+    ]
+    # the kernel fixes every vertex
+    stabilizer = kernel + [
+        p for p, sigma in zip(lifts, vertex_gens) if sigma[root] == root
+    ]
     for (u, v), edge_ids in classes.items():
         k = len(edge_ids)
         order *= factorial(k) << (k if u == v else 0)
-    return GraphAut(graph, PermGroup(graph.dart_count, gens), order)
-
-
-def is_vertex_transitive(graph):
-    return automorphism_group(graph).is_vertex_transitive()
-
-
-def edge_orbits(graph):
-    return automorphism_group(graph).edge_orbits()
+    group = PermGroup(graph.dart_count, kernel + lifts)
+    return GraphAut(graph, group, order, tuple(stabilizer), root_orbit)
 
 
 def is_admissible(graph):

@@ -7,16 +7,15 @@ from degenera.certify import (
     NOT_CERTIFIED,
     SPLITS_TRIVIALLY,
     NoEndpointSwapError,
-    _branch_lifts,
     certify_nonsplit,
     gamma_dagger,
     orbit_subgraph,
-    roundtrip_check,
     roundtrip_report,
     stabilizer_tower,
 )
 from degenera.graphs import (
     DartGraph,
+    _automorphism_group,
     automorphism_group,
     check_dart_isomorphism,
     circulant_graph,
@@ -252,7 +251,7 @@ class TestChainCount:
     def chains_built(monkeypatch, run, graph):
         from degenera import perms
 
-        automorphism_group.cache_clear()
+        _automorphism_group.cache_clear()
         built = []
         init = perms._StabilizerChain.__init__
 
@@ -294,6 +293,35 @@ class TestChainCount:
         capsys.readouterr()
 
 
+class TestOneSearchPerCall:
+    def test_certify_off_vertex_zero_searches_once(self, monkeypatch, capsys):
+        # G2 comes from the search rooted at the base vertex, so no second
+        # Aut is built for it when every degree is at least 4
+        from degenera import graphs
+        from degenera.cli import main
+
+        roots = []
+        search = graphs._vertex_generators
+
+        def counting(graph, root=0):
+            roots.append(root)
+            return search(graph, root)
+
+        monkeypatch.setattr(graphs, "_vertex_generators", counting)
+        for g, base in ((complete_graph(5), 2), (complete_bipartite(4, 4), 5),
+                        (doubled_cycle(6), 3), (rigid_fixture(), 1)):
+            assert g.min_degree() >= 4
+            _automorphism_group.cache_clear()
+            roots.clear()
+            certify_nonsplit(g, base_vertex=base)
+            assert roots == [base]
+        _automorphism_group.cache_clear()
+        roots.clear()
+        assert main(["certify", "--family", "k5", "--base-vertex", "3"]) == 0
+        assert roots == [3]
+        capsys.readouterr()
+
+
 def even_degree_multigraph(rng):
     """Random stable multigraph with every degree even: odd vertices are
     paired off by extra edges."""
@@ -306,7 +334,8 @@ def even_degree_multigraph(rng):
 
 class TestEvenOrbitSearchOracle:
     def test_matches_coset_table_search(self):
-        # on every branch orbit, certify's search (on the Schreier lifts)
+        # on every branch orbit, certify's search (on the generators that
+        # the generator search rooted at the base vertex found to fix it)
         # chooses the same image on the dart orbit, the same orbit sizes and
         # the same found-or-none as the image rule run over an explicit coset
         # table of G2/G3 with G3 = Stab(d0), both groups chain-built; the
@@ -322,10 +351,9 @@ class TestEvenOrbitSearchOracle:
         cases += [(even_degree_multigraph(rng), 0) for _ in range(20)]
         found = 0
         for g, base in cases:
-            aut = automorphism_group(g)
+            aut = automorphism_group(g, base)
             g2 = vertex_stabilizer(aut, base)
-            lifts, _ = _branch_lifts(aut, base)
-            branches = PermGroup(g.dart_count, lifts)
+            branches = PermGroup(g.dart_count, aut.root_stabilizer)
             verdict = certify_nonsplit(g, base_vertex=base)
             orbits = g2.orbits(points=g.darts_at(base))
             assert [r.dart_orbit for r in verdict.per_orbit] == orbits
@@ -353,12 +381,12 @@ class TestEvenOrbitSearchOracle:
 
 class TestRoundtrip:
     def test_families(self):
-        assert roundtrip_check(complete_graph(5))
-        assert roundtrip_check(theta_loops())
+        assert all(r.ok for r in roundtrip_report(complete_graph(5)))
+        assert all(r.ok for r in roundtrip_report(theta_loops()))
         for genus in (7, 8, 9):
-            assert roundtrip_check(circulant_graph(genus))
+            assert all(r.ok for r in roundtrip_report(circulant_graph(genus)))
         for genus in (4, 5, 6):
-            assert roundtrip_check(doubled_cycle(genus))
+            assert all(r.ok for r in roundtrip_report(doubled_cycle(genus)))
 
     def test_single_orbit_rebuilds_whole_graph(self):
         reports = roundtrip_report(complete_graph(5))
@@ -387,14 +415,14 @@ class TestRoundtrip:
                 )
 
     def test_two_loop_bouquet(self):
-        assert roundtrip_check(DartGraph(1, [(0, 0), (0, 0)]))
+        assert all(r.ok for r in roundtrip_report(DartGraph(1, [(0, 0), (0, 0)])))
 
     def test_k7_certifies_and_roundtrips(self):
         verdict = certify_nonsplit(complete_graph(7))
         assert verdict.status == CERTIFIED_NONSPLIT
         assert verdict.g1_order == 5040
         assert verdict.g2_order == 720
-        assert roundtrip_check(complete_graph(7))
+        assert all(r.ok for r in roundtrip_report(complete_graph(7)))
 
     def test_requires_vertex_transitivity(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from degenera.cli import main
 from degenera.certify import roundtrip_report
 from degenera.graphs import (
     DartGraph,
+    _automorphism_group,
     automorphism_group,
     check_dart_isomorphism,
     circulant_graph,
@@ -99,6 +100,26 @@ class TestParsing:
         code, out, err = run_cli(capsys, "certify", *flag, str(path), "--genus", "3")
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith("error: --genus")
+
+    @pytest.mark.parametrize("family", ["circulant", "double-cycle"])
+    def test_genus_above_the_limit_rejected(self, capsys, monkeypatch, family):
+        # refused before any edge list is built, so an absurd genus cannot
+        # exhaust memory
+        from degenera import graphs
+
+        def build(genus):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr(graphs, "circulant_graph", build)
+        monkeypatch.setattr(graphs, "doubled_cycle", build)
+        for genus in (graphs.GENUS_LIMIT + 1, 10**8):
+            code, out, err = run_cli(
+                capsys, "graph", "analyze", "--family", family, "--genus", str(genus)
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: genus %d exceeds the limit %d\n" % (
+                genus, graphs.GENUS_LIMIT
+            )
 
 
 LEAVES = {
@@ -633,7 +654,7 @@ class TestEnumerationCap:
 
 class TestScale:
     def test_analyze_double_cycle_160_within_a_second(self, capsys):
-        automorphism_group.cache_clear()
+        _automorphism_group.cache_clear()
         started = time.perf_counter()
         code, report = structured(
             capsys, "graph", "analyze", "--family", "double-cycle", "--genus", "160"

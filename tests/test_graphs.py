@@ -5,6 +5,7 @@ import pytest
 
 from degenera.graphs import (
     DartGraph,
+    _automorphism_group,
     automorphism_group,
     check_dart_isomorphism,
     circulant_graph,
@@ -13,14 +14,13 @@ from degenera.graphs import (
     cycle_basis,
     cycle_space_rank,
     doubled_cycle,
-    edge_orbits,
     family,
     find_isomorphism,
     is_admissible,
     is_isomorphic,
-    is_vertex_transitive,
     theta_loops,
 )
+from degenera.perms import PermGroup
 from helpers import (
     base_orbit_bound,
     breadth_first_base,
@@ -175,7 +175,7 @@ class TestAutomorphisms:
             return classes(self)
 
         monkeypatch.setattr(DartGraph, "parallel_classes", counting)
-        automorphism_group.cache_clear()
+        _automorphism_group.cache_clear()
         # five parallel swaps and at least two lifted vertex generators
         assert len(automorphism_group(g).group.generators) >= 7
         assert calls == [g]
@@ -378,15 +378,15 @@ class TestGeneratorSearch:
 
 class TestTransitivityAndOrbits:
     def test_k5_single_edge_orbit(self):
-        assert is_vertex_transitive(complete_graph(5))
-        assert len(edge_orbits(complete_graph(5))) == 1
+        assert automorphism_group(complete_graph(5)).is_vertex_transitive()
+        assert len(automorphism_group(complete_graph(5)).edge_orbits()) == 1
 
     def test_circulant_orbits(self):
-        assert len(edge_orbits(circulant_graph(7))) == 1
+        assert len(automorphism_group(circulant_graph(7)).edge_orbits()) == 1
         for genus in (8, 9, 10):
             g = circulant_graph(genus)
-            assert is_vertex_transitive(g)
-            orbits = edge_orbits(g)
+            assert automorphism_group(g).is_vertex_transitive()
+            orbits = automorphism_group(g).edge_orbits()
             assert len(orbits) == 2
             n = genus - 1
             # distance-1 edges come first in construction order
@@ -394,15 +394,15 @@ class TestTransitivityAndOrbits:
             assert orbits[1] == tuple(range(n, 2 * n))
 
     def test_single_vertex_trivially_transitive(self):
-        assert is_vertex_transitive(DartGraph(1, [(0, 0), (0, 0)]))
+        assert automorphism_group(DartGraph(1, [(0, 0), (0, 0)])).is_vertex_transitive()
 
     def test_theta_orbits(self):
-        orbits = edge_orbits(theta_loops())
+        orbits = automorphism_group(theta_loops()).edge_orbits()
         assert orbits == [(0, 1), (2, 3)]
 
     def test_fixture_not_transitive(self):
         g = DartGraph(3, [(0, 1)] + [(0, 2)] * 3 + [(1, 2)] * 5)
-        assert not is_vertex_transitive(g)
+        assert not automorphism_group(g).is_vertex_transitive()
 
 
 class TestLiftedStabilizers:
@@ -463,6 +463,53 @@ class TestLiftedStabilizers:
         for bad in (-1, 4):
             with pytest.raises(ValueError):
                 edge_stabilizer(aut, bad)
+
+
+class TestRootStabilizer:
+    """The stabilizer of the root that the generator search reports, against
+    a Schreier-Sims chain pinned at that vertex on the lifted points."""
+
+    @staticmethod
+    def check(graph):
+        reference = automorphism_group(graph)
+        for v in range(graph.vertex_count):
+            aut = automorphism_group(graph, v)
+            at_v = graph.darts_at(v)
+            for p in aut.root_stabilizer:
+                assert {p.images[d] for d in at_v} == set(at_v)
+            orbit = next(o for o in aut.vertex_orbits() if v in o)
+            assert aut.root_orbit == len(orbit)
+            g2 = PermGroup(graph.dart_count, aut.root_stabilizer)
+            assert g2.order() == aut.order // len(orbit)
+            chain_g2 = vertex_stabilizer(aut, v)
+            assert g2.orbits(points=at_v) == chain_g2.orbits(points=at_v)
+            # the group does not depend on where its search was rooted
+            assert aut.order == reference.order
+            assert aut.group.orbits() == reference.group.orbits()
+
+    def test_families(self):
+        graphs = [circulant_graph(g) for g in range(7, 13)]
+        graphs += [complete_graph(5), theta_loops()]
+        graphs += [doubled_cycle(g) for g in range(4, 11)]
+        graphs += [complete_bipartite(4, 4), rigid_fixture()]
+        for g in graphs:
+            self.check(g)
+
+    def test_random_multigraphs(self):
+        rng = random.Random(1100)
+        graphs = [
+            random_connected_multigraph(rng, rng.randint(2, 5), rng.randint(2, 5))
+            for _ in range(20)
+        ]
+        assert any(automorphism_group(g).root_orbit > 1 for g in graphs)
+        assert not all(automorphism_group(g).is_vertex_transitive() for g in graphs)
+        for g in graphs:
+            self.check(g)
+
+    def test_out_of_range_root(self):
+        for bad in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                automorphism_group(theta_loops(), bad)
 
 
 class TestAdmissibility:
