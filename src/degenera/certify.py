@@ -20,8 +20,8 @@ search reads those orbit sizes as cycle lengths on the darts of Ω.  |G1|
 comes from the generator search, rooted at v0 for certification, so the
 generators it found that fix v0, with the parallel swaps and loop flips,
 generate G2 and |G2| = |G1| / |orbit of v0|.  The search runs on G2's
-image on Ω, which has at most m! elements.  When every degree is at least
-4, no stabilizer chain is built on the darts.
+image on Ω, which has at most m! elements.  Each entry point builds Aut
+once and passes it down, and no stabilizer chain is built on the darts.
 """
 
 from __future__ import annotations
@@ -55,12 +55,12 @@ class NoEndpointSwapError(ValueError):
 class ClutchingData:
     """Stabilizer tower of a pointed edge in the dart automorphism group.
 
-    walk is the orbit of the base dart d0, in walk order; dart d of it sits
-    at vertex graph.vertex_of(d) on edge d >> 1.  Every order comes from it
-    by orbit-stabilizer: |G2| = |G1| / n over the n distinct vertices,
-    |G3| = |G1| / len(walk) and |G4| = |G1| / (number of distinct edges).
-    m = len(walk) / n is the branch orbit size [G2:G3]; the reconstructed
-    graph has n vertices of degree m.
+    walk is the orbit of the base dart d0 as PermGroup.orbit lists it; dart
+    d of it sits at vertex graph.vertex_of(d) on edge d >> 1.  Every order
+    comes from it by orbit-stabilizer: |G2| = |G1| / n over the n distinct
+    vertices, |G3| = |G1| / len(walk) and |G4| = |G1| / (number of distinct
+    edges).  m = len(walk) / n is the branch orbit size [G2:G3]; the
+    reconstructed graph has n vertices of degree m.
     """
 
     graph: DartGraph
@@ -77,15 +77,19 @@ class ClutchingData:
         return (g1, g1 // self.n, g1 // len(self.walk), g1 // edges)
 
 
-def stabilizer_tower(graph, base_vertex, base_edge):
-    """Tower of stabilizers for a vertex and an incident edge.
+_UNSTABLE = "stabilizer tower needs a stable graph (all degrees >= 3)"
+
+
+def stabilizer_tower(aut, base_vertex, base_edge):
+    """Tower of stabilizers in the GraphAut aut for a vertex and an incident edge.
 
     The base dart is the dart of the edge at the base vertex (the lower
     numbered one for a loop).  The walk of the orbit of d0 lists the darts
     of G1/G3: g(d0) sits at g(v0) on g(e0).
     """
+    graph = aut.graph
     if not graph.is_stable():
-        raise ValueError("stabilizer tower needs a stable graph (all degrees >= 3)")
+        raise ValueError(_UNSTABLE)
     if not 0 <= base_edge < graph.edge_count:
         raise ValueError("edge %d out of range" % base_edge)
     u, v = graph.edges[base_edge]
@@ -97,15 +101,7 @@ def stabilizer_tower(graph, base_vertex, base_edge):
         base_dart = 2 * base_edge
     else:
         base_dart = graph.dart_at(base_edge, base_vertex)
-    aut = automorphism_group(graph)
-    walk = [base_dart]
-    seen = {base_dart}
-    for d in walk:
-        for g in aut.group.generators:
-            image = g.images[d]
-            if image not in seen:
-                seen.add(image)
-                walk.append(image)
+    walk = aut.group.orbit(base_dart)
     n = len({graph.vertex_of(d) for d in walk})
     return ClutchingData(
         graph=graph,
@@ -176,21 +172,23 @@ class OrbitRoundtrip:
 def roundtrip_report(graph, base_vertex=0):
     """Reconstruction check per edge orbit, from the given base vertex.
 
-    Only meaningful for vertex-transitive graphs, where every edge orbit
-    reaches every vertex; each orbit uses its smallest edge at the base
-    vertex.
+    Only meaningful for stable vertex-transitive graphs, where every edge
+    orbit reaches every vertex; each orbit uses its smallest edge at the
+    base vertex.  One automorphism group serves every tower.
     """
     from .graphs import find_isomorphism
 
     if not (0 <= base_vertex < graph.vertex_count):
         raise ValueError("base vertex %d out of range" % base_vertex)
+    if not graph.is_stable():
+        raise ValueError(_UNSTABLE)
     aut = automorphism_group(graph)
     if not aut.is_vertex_transitive():
         raise ValueError("reconstruction check needs a vertex-transitive graph")
     reports = []
     for idx, orbit in enumerate(aut.edge_orbits()):
         e0 = min(k for k in orbit if base_vertex in graph.edges[k])
-        cd = stabilizer_tower(graph, base_vertex, e0)
+        cd = stabilizer_tower(aut, base_vertex, e0)
         rebuilt = gamma_dagger(cd)
         sub = orbit_subgraph(graph, orbit)
         witness = find_isomorphism(rebuilt, sub)

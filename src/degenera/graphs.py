@@ -13,19 +13,20 @@ generating set of the multiplicity-preserving vertex automorphisms.  That
 set comes from a search along a breadth-first vertex base with
 first-in-orbit pruning: each base point needs at most (orbit length - 1)
 generators, so their number follows the orbit lengths, not |Aut|, and
-those lengths give |Aut| with no stabilizer chain.  The base starts at a
-chosen root vertex, and the generators found before its level, with the
-local ones, generate the stabilizer of the root.  One
-iterative first-solution backtrack serves both that search and
-find_isomorphism.  The dart action is the only group built: a vertex
-orbit is the set of vertices of the darts in one dart orbit, and an edge
-orbit the set of their edges.
+those lengths give |Aut| with no stabilizer chain.  Rooted at one vertex
+and run on every level, the search gives Aut, and the generators found
+before the root's level, with the local ones, generate its stabilizer;
+run only on the levels after a prefix of the base, it gives the prefix's
+pointwise stabilizer, which decides admissibility.  One iterative
+first-solution backtrack serves that search and find_isomorphism.  The
+dart action is the only group built, with no chain on it: a vertex orbit
+is the set of vertices of the darts in one dart orbit, and an edge orbit
+the set of their edges.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from itertools import chain
+from functools import cached_property
 from math import factorial
 
 from .perms import Perm, PermGroup
@@ -300,7 +301,7 @@ class _VertexMatcher:
     unmatched edge hides among the mapped vertices.
     """
 
-    def __init__(self, a, b, root=0):
+    def __init__(self, a, b, prefix=(0,)):
         self.n = a.vertex_count
         self.nbrs_a, self.sig_a = _neighbourhoods(a)
         self.nbrs_b, self.sig_b = _neighbourhoods(b)
@@ -308,7 +309,7 @@ class _VertexMatcher:
         self.image = [None] * self.n
         self.used = [False] * self.n
         self.load = [0] * self.n
-        self.order = _search_order(self.nbrs_a, root)
+        self.order = _search_order(self.nbrs_a, prefix)
 
     def assign(self, v, w):
         self.image[v] = w
@@ -399,55 +400,51 @@ def _neighbourhoods(graph):
     return nbrs, sigs
 
 
-def _search_order(nbrs, root=0):
-    """Breadth-first order over every component, from root and then from the
-    smallest unvisited vertex.
+def _search_order(nbrs, prefix):
+    """The prefix, then breadth-first from it and from the smallest
+    unvisited vertex of each component left; a root is the prefix (root,).
 
-    Every vertex but a root follows one of its neighbours, so in any suffix
-    of the order preceded by an arbitrary mapped prefix, a vertex has a
-    mapped neighbour unless it is a root.
+    Every vertex after the prefix but a component's start follows one of
+    its neighbours, so in any suffix of the order preceded by an arbitrary
+    mapped prefix, only a component's start may lack a mapped neighbour.
     """
-    seen = [False] * len(nbrs)
-    order = []
-    for start in chain((root,), range(len(nbrs))):
-        if seen[start]:
-            continue
-        seen[start] = True
-        order.append(start)
-        head = len(order) - 1
+    order, seen, head = list(prefix), set(prefix), 0
+    for start in range(len(nbrs)):
         while head < len(order):
-            x = order[head]
-            head += 1
-            for y in sorted(nbrs[x]):
-                if not seen[y]:
-                    seen[y] = True
+            for y in sorted(nbrs[order[head]]):
+                if y not in seen:
+                    seen.add(y)
                     order.append(y)
+            head += 1
+        if start not in seen:
+            seen.add(start)
+            order.append(start)
     return order
 
 
-def _vertex_generators(graph, root=0):
-    """Generators of the vertex automorphism group, by first-in-orbit pruning.
+def _vertex_generators(graph, prefix, pinned=0):
+    """Generators of the vertex automorphisms fixing the first pinned base
+    points, by first-in-orbit pruning.
 
-    The base is the search order b_0 = root, b_1, ..., and levels run from
-    the deepest up.  At level i the generators found so far fix b_0..b_i and
-    generate the stabilizer of those points.  Each image w of b_i outside
-    their orbit of b_i gets one search for a first automorphism fixing
-    b_0..b_(i-1) and sending b_i to w; a hit joins the generators and grows
-    the orbit.  The orbit then holds every image of b_i, so by Schreier's
-    lemma level i ends with the stabilizer of b_0..b_(i-1), after at most
-    (orbit length - 1) new generators.  The generators found before level 0
-    therefore fix the root and generate its stabilizer, and those found at
-    level 0 move it.  Returns the generators in the order found, the group
-    order (the product of the final orbit lengths) and the length of the
-    orbit of the root.
+    The base b_0, b_1, ... is the search order from prefix, and levels run
+    from the deepest up to level pinned.  At level i the generators found
+    so far fix b_0..b_i and generate the stabilizer of those points.  Each
+    image w of b_i outside their orbit of b_i gets one search for a first
+    automorphism fixing b_0..b_(i-1) and sending b_i to w; a hit joins the
+    generators and grows the orbit.  By Schreier's lemma level i ends with
+    the stabilizer of b_0..b_(i-1), after at most (orbit length - 1) new
+    generators (Seress, Permutation Group Algorithms, 2003, 4.1).  With
+    pinned 0 the generators found before level 0 generate the stabilizer
+    of b_0.  Returns the generators in the order found, the order of their
+    group (the product of the final orbit lengths) and the last orbit length.
     """
-    matcher = _VertexMatcher(graph, graph, root)
+    matcher = _VertexMatcher(graph, graph, prefix)
     base = matcher.order
     for v in base:
         matcher.assign(v, v)
     gens = []
-    order = 1
-    for i in range(len(base) - 1, -1, -1):
+    order = orbit_length = 1
+    for i in range(len(base) - 1, pinned - 1, -1):
         b = base[i]
         matcher.unassign(b)
         orbit = {b}
@@ -459,9 +456,10 @@ def _vertex_generators(graph, root=0):
             matcher.unassign(b)
             if sigma is not None:
                 gens.append(sigma)
-                orbit = PermGroup(len(base), map(Perm._unchecked, gens)).orbit(b)
-        order *= len(orbit)
-    return gens, order, len(orbit)
+                orbit = set(PermGroup(len(base), map(Perm._unchecked, gens)).orbit(b))
+        orbit_length = len(orbit)
+        order *= orbit_length
+    return gens, order, orbit_length
 
 
 def _lift_vertex_map(a, b, sigma, classes_a, classes_b):
@@ -571,18 +569,13 @@ def automorphism_group(graph, root=0):
     orbit.  Its order is the number of vertex automorphisms times the order
     of the kernel of the vertex action, which permutes each class of m
     parallel edges (m!) and each class of k loops at a vertex, flipping
-    loops too (k! 2^k).  Results are cached per (graph, root).
+    loops too (k! 2^k).  Nothing is cached: a caller passes the result on.
     """
     if not 0 <= root < graph.vertex_count:
         raise ValueError("root vertex %d out of range" % root)
-    return _automorphism_group(graph, root)
-
-
-@lru_cache(maxsize=128)
-def _automorphism_group(graph, root):
     classes = graph.parallel_classes()
     kernel = _local_generators(graph, classes)
-    vertex_gens, order, root_orbit = _vertex_generators(graph, root)
+    vertex_gens, order, root_orbit = _vertex_generators(graph, (root,))
     lifts = [
         Perm(_lift_vertex_map(graph, graph, sigma, classes, classes))
         for sigma in vertex_gens
@@ -603,17 +596,25 @@ def is_admissible(graph):
 
     Only defined for stable graphs (minimum degree 3).  Any graph whose
     degrees are all at least 4 is admissible, since the dart action is
-    faithful; degree-3 vertices leave room for residual symmetry.
+    faithful; degree-3 vertices leave room for residual symmetry.  With W
+    those of degree >= 4 and P = W plus its neighbours, such an element is
+    the canonical lift of a vertex automorphism fixing P pointwise times a
+    kernel element moving only parallel classes with no endpoint in W.  So
+    a loop or two parallel edges there break admissibility, and otherwise
+    it holds when the generator search on the levels after P finds nothing.
     """
     if not graph.is_stable():
         raise ValueError("admissibility needs minimum degree 3")
-    constrained = [
-        d for d in range(graph.dart_count) if graph.degree(graph.vertex_of(d)) >= 4
-    ]
-    if len(constrained) == graph.dart_count:
+    heavy = {v for v in range(graph.vertex_count) if graph.degree(v) >= 4}
+    if len(heavy) == graph.vertex_count:
         return True
-    aut = automorphism_group(graph)
-    return aut.group.pointwise_stabilizer(constrained).is_trivial()
+    pinned = set(heavy)
+    for (u, v), edge_ids in graph.parallel_classes().items():
+        if u in heavy or v in heavy:
+            pinned.update((u, v))
+        elif u == v or len(edge_ids) > 1:
+            return False
+    return not _vertex_generators(graph, sorted(pinned), len(pinned))[0]
 
 
 def find_isomorphism(a, b):

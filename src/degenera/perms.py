@@ -11,9 +11,11 @@ the image of the group on one orbit Ω, whose order it reads from a chain on
 the |Ω| points and whose elements it walks breadth-first, and it lifts the
 image it chooses along a word in the generators.  CosetAction and
 verify_certificate re-check a certificate from the chain of the whole
-group, independently of that search.  Everything in this module is exact
-and reproducible: identical inputs yield identical outputs, including the
-certificate picked by even_orbit_search.
+group, independently of that search, and so does pointwise_stabilizer; no
+other code path uses them.  Everything in this module is exact and
+reproducible: identical inputs yield identical outputs, including the
+certificate picked by even_orbit_search and the breadth-first order of
+every orbit.
 """
 
 from __future__ import annotations
@@ -333,9 +335,6 @@ class PermGroup:
         """True when every generator of other lies in this group."""
         return other.degree == self.degree and all(g in self for g in other.generators)
 
-    def is_trivial(self):
-        return self.order() == 1
-
     def elements(self, cap=DEFAULT_ENUMERATION_CAP):
         """All elements in a deterministic order.  Refuses to exceed cap."""
         n = self.order()
@@ -346,19 +345,18 @@ class PermGroup:
         return list(self._chain.iter_elements())
 
     def orbit(self, point):
-        """Orbit of a point as a set."""
+        """Orbit of a point, listed breadth-first with generators in order."""
         if not 0 <= point < self.degree:
             raise ValueError("point %d out of range 0..%d" % (point, self.degree - 1))
+        walk = [point]
         seen = {point}
-        queue = [point]
-        while queue:
-            x = queue.pop()
+        for x in walk:
             for g in self.generators:
                 y = g.images[x]
                 if y not in seen:
                     seen.add(y)
-                    queue.append(y)
-        return seen
+                    walk.append(y)
+        return walk
 
     def orbits(self, points=None):
         """Orbit partition of the given points (default all), sorted by minimum."""
@@ -369,7 +367,7 @@ class PermGroup:
         out = []
         for x in sorted(wanted):
             if x not in placed:
-                orb = self.orbit(x)
+                orb = set(self.orbit(x))
                 placed |= orb
                 out.append(tuple(sorted(orb & wanted)))
         return out

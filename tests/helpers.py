@@ -403,6 +403,38 @@ def random_connected_multigraph(rng, vertex_count, extra_edges, min_degree=None)
     return DartGraph(vertex_count, edges)
 
 
+def petersen_graph():
+    """The Petersen graph: outer 5-cycle, inner pentagram, five spokes."""
+    from degenera.graphs import DartGraph
+
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    edges += [(i, 5 + i) for i in range(5)]
+    return DartGraph(10, edges)
+
+
+def prism_graph(n):
+    """The prism C_n x K_2: two n-cycles joined by n rungs."""
+    from degenera.graphs import DartGraph
+
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(n + i, n + (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    return DartGraph(2 * n, edges)
+
+
+def admissible_by_chain(graph):
+    """Admissibility from a Schreier-Sims chain on the darts pinned at every
+    dart of a vertex of degree >= 4: the subgroup fixing them is trivial."""
+    from degenera.graphs import automorphism_group
+
+    constrained = [
+        d for d in range(graph.dart_count) if graph.degree(graph.vertex_of(d)) >= 4
+    ]
+    group = automorphism_group(graph).group
+    return group.pointwise_stabilizer(constrained).order() == 1
+
+
 def networkx_vertex_automorphisms(graph):
     """Every multiplicity- and loop-preserving vertex automorphism, as a
     tuple of images, from networkx's MultiGraphMatcher (imported lazily)."""

@@ -27,6 +27,7 @@ from degenera.frobenius import (
     primes_upto,
 )
 from degenera.graphs import (
+    automorphism_group,
     check_dart_isomorphism,
     circulant_graph,
     complete_bipartite,
@@ -88,8 +89,9 @@ def test_criterion_01_families_certify():
         for graph, verdict in verdicts:
             reports = [r for r in verdict.per_orbit if r.certificate is not None]
             assert reports
+            aut = automorphism_group(graph)
             for rep in reports:
-                tower = stabilizer_tower(graph, verdict.base_vertex, rep.base_edge)
+                tower = stabilizer_tower(aut, verdict.base_vertex, rep.base_edge)
                 _, g2, g3, _ = tower_groups(tower)
                 assert verify_certificate(rep.certificate, g2, g3)
                 checked += 1

@@ -15,7 +15,6 @@ from degenera.certify import (
 )
 from degenera.graphs import (
     DartGraph,
-    _automorphism_group,
     automorphism_group,
     check_dart_isomorphism,
     circulant_graph,
@@ -39,6 +38,7 @@ from helpers import (
     coset_even_orbit_search,
     coset_gamma_dagger,
     odd_powers,
+    petersen_graph,
     random_connected_multigraph,
     relabel_graph,
     tower_groups,
@@ -54,7 +54,7 @@ def rigid_fixture():
 
 class TestStabilizerTower:
     def test_k5_orders(self):
-        cd = stabilizer_tower(complete_graph(5), 0, 0)
+        cd = stabilizer_tower(automorphism_group(complete_graph(5)), 0, 0)
         assert cd.orders() == (120, 24, 6, 12)
         assert cd.n == 5 and cd.m == 4
 
@@ -62,18 +62,18 @@ class TestStabilizerTower:
         g = complete_graph(5)
         for v0 in range(5):
             e0 = next(k for k, (u, v) in enumerate(g.edges) if v0 in (u, v))
-            cd = stabilizer_tower(g, v0, e0)
+            cd = stabilizer_tower(automorphism_group(g), v0, e0)
             assert cd.orders() == (120, 24, 6, 12)
 
     def test_circulant_small_genus_is_octahedral(self):
-        cd = stabilizer_tower(circulant_graph(7), 0, 0)
+        cd = stabilizer_tower(automorphism_group(circulant_graph(7)), 0, 0)
         assert cd.orders() == (48, 8, 2, 4)
         assert cd.n == 6 and cd.m == 4
 
     def test_circulant_dihedral_range(self):
         for genus in (8, 9, 10, 12):
             g = circulant_graph(genus)
-            cd = stabilizer_tower(g, 0, 0)
+            cd = stabilizer_tower(automorphism_group(g), 0, 0)
             _, g2, g3, _ = tower_groups(cd)
             assert g2.order() == 2
             assert g3.order() == 1
@@ -84,7 +84,7 @@ class TestStabilizerTower:
         # the four branches at the base vertex carry a dihedral action: the
         # two parallel swaps commute, and the neighbor swap conjugates one
         # into the other, so the dart stabilizer is not normal
-        cd = stabilizer_tower(doubled_cycle(4), 0, 0)
+        cd = stabilizer_tower(automorphism_group(doubled_cycle(4)), 0, 0)
         assert cd.m == 4
         _, g2, g3, _ = tower_groups(cd)
         action = CosetAction(g2, g3)
@@ -100,9 +100,9 @@ class TestStabilizerTower:
 
     def test_theta_loops_both_edges(self):
         g = theta_loops()
-        parallel = stabilizer_tower(g, 0, 0)
+        parallel = stabilizer_tower(automorphism_group(g), 0, 0)
         assert parallel.orders() == (16, 8, 4, 8)
-        loop = stabilizer_tower(g, 0, 2)
+        loop = stabilizer_tower(automorphism_group(g), 0, 2)
         assert loop.orders() == (16, 8, 4, 8)
         assert loop.base_dart == 4
 
@@ -111,7 +111,7 @@ class TestStabilizerTower:
                   doubled_cycle(5)):
             for e0 in {min(o) for o in automorphism_group(g).edge_orbits()}:
                 v0 = g.edges[e0][0]
-                cd = stabilizer_tower(g, v0, e0)
+                cd = stabilizer_tower(automorphism_group(g), v0, e0)
                 g1, g2, g3, g4 = tower_groups(cd)
                 assert g1.order() == cd.n * g2.order()
                 assert g2.order() == cd.m * g3.order()
@@ -125,29 +125,29 @@ class TestStabilizerTower:
             seen = set()
             for e0 in orbit[:4]:
                 u, _ = g.edges[e0]
-                seen.add(stabilizer_tower(g, u, e0).orders())
+                seen.add(stabilizer_tower(aut, u, e0).orders())
             assert len(seen) == 1
 
     def test_rejects_unstable(self):
         with pytest.raises(ValueError):
-            stabilizer_tower(DartGraph(1, [(0, 0)]), 0, 0)
+            stabilizer_tower(automorphism_group(DartGraph(1, [(0, 0)])), 0, 0)
 
     def test_rejects_detached_edge(self):
         g = complete_graph(5)
         with pytest.raises(ValueError):
-            stabilizer_tower(g, 0, 9)  # edge 9 joins 3 and 4
+            stabilizer_tower(automorphism_group(g), 0, 9)  # edge 9 joins 3 and 4
 
     def test_rejects_out_of_range_edge(self):
         # edge -1 would index the last edge, which does touch vertex 3
         g = complete_graph(5)
         for e0 in (-1, g.edge_count):
             with pytest.raises(ValueError, match="out of range"):
-                stabilizer_tower(g, 3, e0)
+                stabilizer_tower(automorphism_group(g), 3, e0)
 
 
 class TestGammaDagger:
     def test_k5_reconstruction(self):
-        cd = stabilizer_tower(complete_graph(5), 0, 0)
+        cd = stabilizer_tower(automorphism_group(complete_graph(5)), 0, 0)
         rebuilt = gamma_dagger(cd)
         assert rebuilt.vertex_count == 5 and rebuilt.edge_count == 10
         assert is_isomorphic(rebuilt, complete_graph(5))
@@ -155,7 +155,7 @@ class TestGammaDagger:
     def test_vertex_edge_degree_counts(self):
         for g, v0, e0 in ((complete_graph(5), 0, 0), (theta_loops(), 0, 0),
                           (theta_loops(), 0, 2), (doubled_cycle(4), 0, 0)):
-            cd = stabilizer_tower(g, v0, e0)
+            cd = stabilizer_tower(automorphism_group(g), v0, e0)
             rebuilt = gamma_dagger(cd)
             g1, g2, _, g4 = tower_groups(cd)
             assert rebuilt.vertex_count == g1.order() // g2.order()
@@ -163,7 +163,7 @@ class TestGammaDagger:
             assert set(rebuilt.degrees()) == {cd.m}
 
     def test_theta_loop_orbit_is_disconnected(self):
-        cd = stabilizer_tower(theta_loops(), 0, 2)
+        cd = stabilizer_tower(automorphism_group(theta_loops()), 0, 2)
         rebuilt = gamma_dagger(cd)
         assert not rebuilt.connected
         assert rebuilt.vertex_count == 2 and rebuilt.edge_count == 2
@@ -179,7 +179,7 @@ class TestGammaDagger:
         for g in graphs:
             for orbit in automorphism_group(g).edge_orbits():
                 e0 = min(k for k in orbit if 0 in g.edges[k])
-                cd = stabilizer_tower(g, 0, e0)
+                cd = stabilizer_tower(automorphism_group(g), 0, e0)
                 oracle = coset_gamma_dagger(cd)
                 rebuilt = gamma_dagger(cd)
                 witness = find_isomorphism(oracle, rebuilt)
@@ -189,7 +189,7 @@ class TestGammaDagger:
     def test_no_endpoint_swap(self):
         # a bridge between vertices of distinct degrees cannot be reversed
         g = DartGraph(2, [(0, 1), (0, 0), (0, 0), (1, 1), (1, 1), (1, 1)])
-        cd = stabilizer_tower(g, 0, 0)
+        cd = stabilizer_tower(automorphism_group(g), 0, 0)
         _, _, g3, g4 = tower_groups(cd)
         assert g4.order() == g3.order()
         with pytest.raises(NoEndpointSwapError):
@@ -224,7 +224,7 @@ class TestTowerOrdersOracle:
     def test_orders_match_chains(self):
         swaps = {True: 0, False: 0}
         for g, v0, e0 in self.pointed_edges():
-            cd = stabilizer_tower(g, v0, e0)
+            cd = stabilizer_tower(automorphism_group(g), v0, e0)
             g1, g2, g3, g4 = (h.order() for h in tower_groups(cd))
             assert cd.orders() == (g1, g2, g3, g4)
             assert (cd.n, cd.m) == (g1 // g2, g2 // g3)
@@ -244,14 +244,12 @@ class TestTowerOrdersOracle:
 
 
 class TestChainCount:
-    """Schreier-Sims chains built per call, counted from a clean cache, on
-    graphs whose degrees are all at least 4."""
+    """Schreier-Sims chains built per call."""
 
     @staticmethod
     def chains_built(monkeypatch, run, graph):
         from degenera import perms
 
-        _automorphism_group.cache_clear()
         built = []
         init = perms._StabilizerChain.__init__
 
@@ -292,34 +290,80 @@ class TestChainCount:
             assert codes == [0]
         capsys.readouterr()
 
+    def test_degree_three_builds_no_dart_chain(self, monkeypatch, capsys, tmp_path):
+        # admissibility comes from the generator search, not from a chain
+        # on the darts pinned at the darts of degree >= 4
+        from degenera.cli import main
+
+        graphs = {
+            "k34": complete_bipartite(3, 4),
+            "k4": complete_graph(4),
+            "petersen": petersen_graph(),
+            "mixed": DartGraph(
+                4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 0), (0, 0)]
+            ),
+        }
+        for name, g in graphs.items():
+            assert g.min_degree() == 3
+            path = tmp_path / (name + ".graph")
+            path.write_text(g.to_text())
+            codes = []
+            run = lambda graph: codes.append(main(["graph", "analyze", str(path)]))
+            built = self.chains_built(monkeypatch, run, g)
+            built += self.chains_built(monkeypatch, certify_nonsplit, g)
+            assert all(degree < g.dart_count for degree, _ in built)
+            assert codes == [0]
+        capsys.readouterr()
+
 
 class TestOneSearchPerCall:
+    @staticmethod
+    def spy(monkeypatch):
+        """Record (prefix, pinned) of every generator search."""
+        from degenera import graphs
+
+        searches = []
+        search = graphs._vertex_generators
+
+        def counting(graph, prefix, pinned=0):
+            searches.append((tuple(prefix), pinned))
+            return search(graph, prefix, pinned)
+
+        monkeypatch.setattr(graphs, "_vertex_generators", counting)
+        return searches
+
+    @staticmethod
+    def aut_roots(searches):
+        """Roots of the searches that run every level, those that build Aut."""
+        return [prefix[0] for prefix, pinned in searches if pinned == 0]
+
     def test_certify_off_vertex_zero_searches_once(self, monkeypatch, capsys):
         # G2 comes from the search rooted at the base vertex, so no second
         # Aut is built for it when every degree is at least 4
-        from degenera import graphs
         from degenera.cli import main
 
-        roots = []
-        search = graphs._vertex_generators
-
-        def counting(graph, root=0):
-            roots.append(root)
-            return search(graph, root)
-
-        monkeypatch.setattr(graphs, "_vertex_generators", counting)
+        searches = self.spy(monkeypatch)
         for g, base in ((complete_graph(5), 2), (complete_bipartite(4, 4), 5),
                         (doubled_cycle(6), 3), (rigid_fixture(), 1)):
             assert g.min_degree() >= 4
-            _automorphism_group.cache_clear()
-            roots.clear()
+            searches.clear()
             certify_nonsplit(g, base_vertex=base)
-            assert roots == [base]
-        _automorphism_group.cache_clear()
-        roots.clear()
+            assert self.aut_roots(searches) == [base]
+        searches.clear()
         assert main(["certify", "--family", "k5", "--base-vertex", "3"]) == 0
-        assert roots == [3]
+        assert self.aut_roots(searches) == [3]
         capsys.readouterr()
+
+    def test_admissibility_builds_no_second_aut(self, monkeypatch):
+        # with degree-3 vertices, admissibility runs only the levels after
+        # the pinned vertices, so certify builds Aut once, rooted at its base
+        g = DartGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (0, 1)])
+        assert g.min_degree() == 3 and max(g.degrees()) == 4
+        searches = self.spy(monkeypatch)
+        for base in range(4):
+            searches.clear()
+            certify_nonsplit(g, base_vertex=base)
+            assert self.aut_roots(searches) == [base]
 
 
 def even_degree_multigraph(rng):

@@ -17,7 +17,6 @@ from degenera.cli import main
 from degenera.certify import roundtrip_report
 from degenera.graphs import (
     DartGraph,
-    _automorphism_group,
     automorphism_group,
     check_dart_isomorphism,
     circulant_graph,
@@ -369,6 +368,18 @@ class TestRoundtrip:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_unstable_rejected_first(self, capsys, tmp_path):
+        # a vertex with no dart, and a vertex of degree 1 on a graph that is
+        # not vertex-transitive: stability is checked before Aut is built
+        path = tmp_path / "g.graph"
+        for text in ("vertices 1\n", "vertices 2\nedge 0 1\nedge 0 0\n"):
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "clutch", "roundtrip", str(path))
+            assert code == 2 and out == ""
+            assert err == (
+                "error: stabilizer tower needs a stable graph (all degrees >= 3)\n"
+            )
+
 
 class TestFrobenius:
     def test_witness_found(self, capsys):
@@ -654,7 +665,6 @@ class TestEnumerationCap:
 
 class TestScale:
     def test_analyze_double_cycle_160_within_a_second(self, capsys):
-        _automorphism_group.cache_clear()
         started = time.perf_counter()
         code, report = structured(
             capsys, "graph", "analyze", "--family", "double-cycle", "--genus", "160"

@@ -1,11 +1,11 @@
 import random
 import sys
+import time
 
 import pytest
 
 from degenera.graphs import (
     DartGraph,
-    _automorphism_group,
     automorphism_group,
     check_dart_isomorphism,
     circulant_graph,
@@ -22,6 +22,7 @@ from degenera.graphs import (
 )
 from degenera.perms import PermGroup
 from helpers import (
+    admissible_by_chain,
     base_orbit_bound,
     breadth_first_base,
     brute_closure,
@@ -29,6 +30,8 @@ from helpers import (
     edge_stabilizer,
     exhaustive_dart_automorphisms,
     networkx_vertex_automorphisms,
+    petersen_graph,
+    prism_graph,
     random_connected_multigraph,
     relabel_graph,
     vertex_stabilizer,
@@ -175,7 +178,6 @@ class TestAutomorphisms:
             return classes(self)
 
         monkeypatch.setattr(DartGraph, "parallel_classes", counting)
-        _automorphism_group.cache_clear()
         # five parallel swaps and at least two lifted vertex generators
         assert len(automorphism_group(g).group.generators) >= 7
         assert calls == [g]
@@ -536,6 +538,48 @@ class TestAdmissibility:
             )
             assert g.min_degree() >= 4
             assert is_admissible(g)
+
+    @staticmethod
+    def seeded(seed):
+        rng = random.Random(seed)
+        return random_connected_multigraph(
+            rng, rng.randint(2, 9), rng.randint(0, 8), min_degree=3
+        )
+
+    @staticmethod
+    def outcome(g):
+        """Admissible, or what moves once the darts at W (degree >= 4) are
+        fixed: a swap or flip inside a parallel class with no endpoint in
+        W, else the lift of a vertex automorphism fixing W and its
+        neighbours."""
+        if is_admissible(g):
+            return "admissible"
+        heavy = {v for v in range(g.vertex_count) if g.degree(v) >= 4}
+        for (u, v), edge_ids in g.parallel_classes().items():
+            if u not in heavy and v not in heavy and (u == v or len(edge_ids) > 1):
+                return "kernel"
+        return "vertex" if heavy else "vertex, W empty"
+
+    def test_matches_chain_reference(self):
+        graphs = [complete_graph(4), complete_bipartite(3, 3), complete_bipartite(3, 4),
+                  petersen_graph(), prism_graph(5), prism_graph(8)]
+        # seed 129 is one of the few below 3000 whose only symmetry fixing
+        # the darts at W is a vertex automorphism, with W non-empty
+        graphs += [self.seeded(seed) for seed in list(range(500)) + [129]]
+        outcomes = {}
+        for g in graphs:
+            assert g.is_stable()
+            assert is_admissible(g) == admissible_by_chain(g)
+            kind = self.outcome(g)
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+        assert self.outcome(self.seeded(129)) == "vertex"
+        assert {"admissible", "kernel", "vertex"} <= set(outcomes)
+
+    def test_prism_400_within_a_second(self):
+        g = prism_graph(400)
+        started = time.perf_counter()
+        assert not is_admissible(g)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestCycleSpace:

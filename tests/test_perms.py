@@ -89,7 +89,7 @@ class TestPermGroup:
 
     def test_trivial(self):
         g = PermGroup(4, [])
-        assert g.order() == 1 and g.is_trivial()
+        assert g.order() == 1
         assert Perm.identity(4) in g
         assert Perm([1, 0, 2, 3]) not in g
 
@@ -103,9 +103,17 @@ class TestPermGroup:
     def test_orbits(self):
         g = group_from_generators([Perm.from_cycles(5, [(0, 1, 2)])])
         assert g.orbits() == [(0, 1, 2), (3,), (4,)]
-        assert g.orbit(1) == {0, 1, 2}
+        assert g.orbit(1) == [1, 2, 0]
         assert g.orbits(points=(3, 4)) == [(3,), (4,)]
         assert g.orbits(points=(1, 4)) == [(1,), (4,)]
+
+    def test_orbit_walk_is_breadth_first(self):
+        # 0 reaches 1 and 2, then 1 reaches 4 before 2 reaches 3; a
+        # depth-first walk would list 3 before 4
+        g = group_from_generators(
+            [Perm.from_cycles(5, [(0, 1), (2, 3)]), Perm.from_cycles(5, [(0, 2), (1, 4)])]
+        )
+        assert g.orbit(0) == [0, 1, 2, 4, 3]
 
     def test_elements_cap(self):
         with pytest.raises(EnumerationCapError):
