@@ -293,7 +293,7 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
     g1_order = aut.order
     from .graphs import is_admissible
 
-    admissible = is_admissible(graph)
+    admissible = is_admissible(aut)
     all_even = graph.all_degrees_even()
     transitive = aut.is_vertex_transitive()
     if not all_even:

@@ -153,7 +153,7 @@ def _cmd_graph_analyze(args, cap):
     aut = automorphism_group(graph)
     orbits = aut.edge_orbits()
     stable = graph.is_stable()
-    admissible = is_admissible(graph) if stable else None
+    admissible = is_admissible(aut) if stable else None
     result = {
         "vertices": graph.vertex_count,
         "edges": graph.edge_count,

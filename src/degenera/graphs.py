@@ -591,23 +591,24 @@ def automorphism_group(graph, root=0):
     return GraphAut(graph, group, order, tuple(stabilizer), root_orbit)
 
 
-def is_admissible(graph):
+def is_admissible(aut):
     """Whether fixing all darts at vertices of degree >= 4 forces the identity.
 
-    Only defined for stable graphs (minimum degree 3).  Any graph whose
-    degrees are all at least 4 is admissible, since the dart action is
-    faithful; degree-3 vertices leave room for residual symmetry.  With W
-    those of degree >= 4 and P = W plus its neighbours, such an element is
-    the canonical lift of a vertex automorphism fixing P pointwise times a
-    kernel element moving only parallel classes with no endpoint in W.  So
-    a loop or two parallel edges there break admissibility, and otherwise
-    it holds when the generator search on the levels after P finds nothing.
+    Takes the GraphAut of a stable graph.  All degrees >= 4 make it
+    admissible (the dart action is faithful), none make it so iff Aut is
+    trivial.  Else, with W those of degree >= 4 and P = W plus neighbours,
+    an element fixing the darts at W lifts a vertex automorphism fixing P,
+    times a kernel element moving only parallel classes with no endpoint in
+    W: a loop or two parallel edges there, or a search hit after P, break it.
     """
+    graph = aut.graph
     if not graph.is_stable():
         raise ValueError("admissibility needs minimum degree 3")
     heavy = {v for v in range(graph.vertex_count) if graph.degree(v) >= 4}
     if len(heavy) == graph.vertex_count:
         return True
+    if not heavy:
+        return aut.order == 1
     pinned = set(heavy)
     for (u, v), edge_ids in graph.parallel_classes().items():
         if u in heavy or v in heavy:

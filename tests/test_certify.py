@@ -334,7 +334,9 @@ class TestOneSearchPerCall:
 
     @staticmethod
     def aut_roots(searches):
-        """Roots of the searches that run every level, those that build Aut."""
+        """Roots of the searches that run every level, those that build Aut;
+        every other search runs only the levels after its pinned prefix."""
+        assert all(pinned in (0, len(prefix)) for prefix, pinned in searches)
         return [prefix[0] for prefix, pinned in searches if pinned == 0]
 
     def test_certify_off_vertex_zero_searches_once(self, monkeypatch, capsys):
@@ -348,10 +350,10 @@ class TestOneSearchPerCall:
             assert g.min_degree() >= 4
             searches.clear()
             certify_nonsplit(g, base_vertex=base)
-            assert self.aut_roots(searches) == [base]
+            assert searches == [((base,), 0)]
         searches.clear()
         assert main(["certify", "--family", "k5", "--base-vertex", "3"]) == 0
-        assert self.aut_roots(searches) == [3]
+        assert searches == [((3,), 0)]
         capsys.readouterr()
 
     def test_admissibility_builds_no_second_aut(self, monkeypatch):
@@ -364,6 +366,14 @@ class TestOneSearchPerCall:
             searches.clear()
             certify_nonsplit(g, base_vertex=base)
             assert self.aut_roots(searches) == [base]
+        # with no vertex of degree >= 4, admissibility reads |Aut| off the
+        # group certify already built, so that is the only search
+        for g in (complete_graph(4), petersen_graph()):
+            assert max(g.degrees()) == 3
+            for base in range(3):
+                searches.clear()
+                certify_nonsplit(g, base_vertex=base)
+                assert searches == [((base,), 0)]
 
 
 def even_degree_multigraph(rng):
