@@ -20,19 +20,24 @@ image larger than the cap is refused before any is enumerated, and a
 branch orbit of odd size is settled without enumerating anything.
 `python -m degenera` runs the same tool.
 
-`main` builds one parser per call: that of the leaf in `_COMMANDS` named by
-the first one or two words of argv, whose handler finds the pipeline in this
-module's globals at call time.  The overview parser (top level, groups and
-leaf stubs) is built only for help, `--version` and usage errors.
+`main` finds the leaf in `_COMMANDS` named by the first one or two words of
+argv, whose handler finds the pipeline in this module's globals at call
+time, and reads the rest of argv with one loop over the leaf's option table
+(`_parse_leaf`).  A call whose arguments that loop takes builds no argparse
+parser and does not import argparse.  Only what the loop declines (help,
+abbreviations, repeats, `--`, bad values and the like) goes to the leaf's
+argparse parser, built from the same table, which alone prints help and
+usage errors.  The overview parser (top level, groups and leaf stubs) is
+built only for help, `--version` and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__
 from .perms import DEFAULT_ENUMERATION_CAP, EnumerationCapError
@@ -59,28 +64,107 @@ from .frobenius import (
 )
 
 
+# The option table of each kind of leaf, in the order of its help: each entry
+# is an option's name and the keyword arguments of its add_argument call.
+# _leaf_parser builds its parser from these entries and _parse_leaf reads the
+# same ones, so a name, type, choice or default is written once.
+_FORMAT_OPTION = (
+    "--format",
+    {
+        "choices": ("text", "structured"),
+        "default": "text",
+        "help": "report format (structured = one JSON object)",
+    },
+)
+_GRAPH_OPTIONS = (
+    _FORMAT_OPTION,
+    ("path", {"nargs": "?", "help": "graph file (vertices/edge lines)"}),
+    ("--file", {"help": "graph file (alternative to the positional)"}),
+    ("--family", {"choices": FAMILY_NAMES, "help": "built-in family"}),
+    ("--genus", {"type": int, "help": "genus for parametrized families"}),
+    ("--base-vertex", {"type": int, "default": 0, "help": "base vertex for stabilizers"}),
+)
+
+
+def _options(default_bound):
+    """The table of a polynomial leaf with this default --bound, or of a
+    graph-source leaf if None."""
+    if default_bound is None:
+        return _GRAPH_OPTIONS
+    return (
+        _FORMAT_OPTION,
+        ("poly", {"help": "polynomial, e.g. 'x^4-x-1' or '-1,-1,0,0,1'"}),
+        ("--bound", {"type": int, "default": default_bound}),
+    )
+
+
 def _leaf_parser(words, default_bound):
-    """--format, then a polynomial and --bound, or a graph source if no bound."""
+    """The argparse parser of one leaf, built from its option table."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="degenera " + " ".join(words))
     parser.set_defaults(subcommand=words[-1])
-    parser.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="report format (structured = one JSON object)",
-    )
-    if default_bound is not None:
-        parser.add_argument("poly", help="polynomial, e.g. 'x^4-x-1' or '-1,-1,0,0,1'")
-        parser.add_argument("--bound", type=int, default=default_bound)
-        return parser
-    parser.add_argument("path", nargs="?", help="graph file (vertices/edge lines)")
-    parser.add_argument("--file", help="graph file (alternative to the positional)")
-    parser.add_argument("--family", choices=FAMILY_NAMES, help="built-in family")
-    parser.add_argument("--genus", type=int, help="genus for parametrized families")
-    parser.add_argument(
-        "--base-vertex", type=int, default=0, help="base vertex for stabilizers"
-    )
+    for name, spec in _options(default_bound):
+        parser.add_argument(name, **spec)
     return parser
+
+
+def _is_negative_poly(token):
+    """A polynomial with a leading minus sign, such as '-1,-1,0,0,1' or '-x^4+x+1'."""
+    return len(token) > 1 and token[0] == "-" and token[1] in "0123456789x"
+
+
+def _parse_leaf(words, default_bound, rest):
+    """The attributes that the leaf's argparse parser gives `rest`.
+
+    One loop over the option table takes full long option names, as
+    `--name value` or `--name=value`, each at most once, at most one
+    positional, and values that do not start with '-', converted by the
+    option's type or checked against its choices.  On a polynomial leaf the
+    positional may start with a minus sign (`_is_negative_poly`).  Anything
+    else, help included, goes to `_leaf_parser`, which alone prints help and
+    usage errors; a polynomial with a leading minus that the loop has read is
+    passed to it after `--`, where argparse cannot take it for an option.
+    """
+    options = _options(default_bound)
+    specs = dict(options)
+    positional = next(name for name in specs if not name.startswith("-"))
+    found = {}
+    poly_at = None
+    tokens = enumerate(rest)
+    for at, token in tokens:
+        if default_bound is not None and _is_negative_poly(token):
+            name, value, poly_at = positional, token, at
+        elif token.startswith("-"):
+            name, equals, value = token.partition("=")
+            if not equals:
+                value = next(tokens, (None, "-"))[1]  # "-": no value follows
+            if name not in specs or value.startswith("-"):
+                break
+        else:
+            name, value = positional, token
+        if name in found:
+            break
+        spec = specs[name]
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            break
+        if "choices" in spec and value not in spec["choices"]:
+            break
+        found[name] = value
+    else:
+        if positional in found or specs[positional].get("nargs") == "?":
+            return SimpleNamespace(
+                subcommand=words[-1],
+                **{
+                    name.lstrip("-").replace("-", "_"): found.get(name, spec.get("default"))
+                    for name, spec in options
+                },
+            )
+    if poly_at is not None and "--" not in rest:
+        rest = rest[:poly_at] + rest[poly_at + 1 :] + ["--", rest[poly_at]]
+    return _leaf_parser(words, default_bound).parse_args(rest)
 
 
 _HELP = {
@@ -98,6 +182,8 @@ _HELP = {
 
 def _overview_parser():
     """Top level and groups, each leaf an argument-less stub with its help line."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="degenera",
         description="Non-splitness certificates for conics attached to "
@@ -347,7 +433,7 @@ def main(argv=None):
         if words not in _COMMANDS:
             _overview_parser().parse_args(argv)  # help, --version or an error: exits
         handler, default_bound = _COMMANDS[words]
-        args = _leaf_parser(words, default_bound).parse_args(argv[len(words):])
+        args = _parse_leaf(words, default_bound, argv[len(words):])
     except SystemExit as exc:
         return int(exc.code or 0)
     cap = DEFAULT_ENUMERATION_CAP

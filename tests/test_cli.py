@@ -1,8 +1,10 @@
 import argparse
 import errno
 import io
+import itertools
 import json
 import os
+import random
 import runpy
 import signal
 import subprocess
@@ -12,7 +14,7 @@ import time
 import pytest
 
 import degenera
-from degenera import frobenius
+from degenera import cli, frobenius
 from degenera.cli import main
 from degenera.certify import roundtrip_report
 from degenera.graphs import (
@@ -148,9 +150,99 @@ class TestDispatch:
     def test_one_parser_per_leaf_call(self, capsys, parsers_built, words):
         argv = list(words) + LEAVES[words]
         assert run_cli(capsys, *argv)[0] in (0, 1)
+        assert parsers_built == []
+        for tail in (["--colour"], ["--fam", "k5"], ["-h"]):
+            run_cli(capsys, *argv, *tail)
+            assert parsers_built == ["degenera " + " ".join(words)]
+            parsers_built.clear()
+
+    @pytest.mark.parametrize("words", LEAVES, ids=" ".join)
+    def test_table_loop_matches_argparse(self, parsers_built, words):
+        """Every option in both forms, in three orders, with and without the
+        positional: the attributes argparse gives, with no parser built."""
+        default_bound = cli._COMMANDS[words][1]
+        if default_bound is None:
+            values = {
+                "--format": "structured",
+                "--file": "g.graph",
+                "--family": "circulant",
+                "--genus": "3",
+                "--base-vertex": "2",
+            }
+            positionals = [None, "other.graph"]
+        else:
+            values = {"--format": "structured", "--bound": "77"}
+            positionals = ["x^4-x-1", "-1,-1,0,0,1", "-x^4+x+1"]
+        shuffle = random.Random(16).shuffle
+        checked = 0
+        for count in range(len(values) + 1):
+            for names in itertools.combinations(values, count):
+                for equals, positional in itertools.product((False, True), positionals):
+                    tokens = [
+                        [name + "=" + values[name]] if equals else [name, values[name]]
+                        for name in names
+                    ]
+                    reference = sum(tokens, [])
+                    if positional is not None:
+                        tokens.append([positional])
+                        reference += ["--", positional]
+                    shuffled = tokens[:]
+                    shuffle(shuffled)
+                    parser = cli._leaf_parser(words, default_bound)
+                    expected = vars(parser.parse_args(reference))
+                    parsers_built.clear()
+                    for order in (tokens, tokens[::-1], shuffled):
+                        rest = sum(order, [])
+                        assert vars(cli._parse_leaf(words, default_bound, rest)) == expected
+                        assert parsers_built == [], rest
+                        checked += 1
+        assert checked == 3 * 2 * len(positionals) * 2 ** len(values)
+
+    @pytest.mark.parametrize(
+        "words, rest",
+        [
+            (("certify",), ["--fam", "k5"]),
+            (("certify",), ["--family", "k5", "--family", "circulant"]),
+            (("certify",), ["--family", "circulant", "--genus", "-3"]),
+            (("certify",), ["--family", "circulant", "--genus=-3"]),
+            (("certify",), ["--family", "petersen"]),
+            (("certify",), ["--genus", "3.5"]),
+            (("certify",), ["a.graph", "b.graph"]),
+            (("certify",), ["--", "a.graph"]),
+            (("certify",), ["--file"]),
+            (("frobenius", "census"), ["x^2+1", "--format", "json"]),
+            (("frobenius", "census"), ["x^2+1", "x^2+2"]),
+            (("frobenius", "census"), ["--bound", "100"]),
+            (("frobenius", "census"), ["x^2+1", "--bound", "-5"]),
+            (("frobenius", "census"), ["x^2+1", "--bou", "5"]),
+        ],
+        ids=repr,
+    )
+    def test_declined_input_goes_to_argparse(self, capsys, parsers_built, words, rest):
+        """What the table's loop declines gets argparse's attributes, or its
+        message and exit code, from the one parser of the leaf."""
+        default_bound = cli._COMMANDS[words][1]
+
+        def outcome(parse):
+            try:
+                return vars(parse(rest))
+            except SystemExit as exc:
+                return exc.code, capsys.readouterr().err
+
+        got = outcome(lambda rest: cli._parse_leaf(words, default_bound, rest))
         assert parsers_built == ["degenera " + " ".join(words)]
-        run_cli(capsys, *argv)
-        assert len(parsers_built) == 2
+        assert got == outcome(cli._leaf_parser(words, default_bound).parse_args)
+
+    def test_import_leaves_argparse_out(self):
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, degenera.cli; print('argparse' in sys.modules)",
+            ],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
     @pytest.mark.parametrize(
         "argv", [["graph"], ["frobenius"], ["frobble"], []], ids=repr
@@ -403,6 +495,31 @@ class TestFrobenius:
             "primes": [2, 3],
             "patterns": ["4", "4"],
         }
+
+    @pytest.mark.parametrize("poly", ["-1,-1,0,0,1", "-x^4+x+1"])
+    def test_leading_minus_needs_no_double_dash(self, capsys, poly):
+        options = ["--format", "structured", "--bound", "100"]
+        reports = []
+        for argv in ([poly, *options], [*options, "--", poly]):
+            code, out, err = run_cli(capsys, "frobenius", "census", *argv)
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            del report["timing_ms"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (["--bound", "abc"], "argument --bound: invalid int value: 'abc'"),
+            (["--colour"], "unrecognized arguments: --colour"),
+        ],
+        ids=["bad int", "unknown option"],
+    )
+    def test_leading_minus_usage_error_names_the_fault(self, capsys, tail, message):
+        code, out, err = run_cli(capsys, "frobenius", "census", "-1,-1,0,0,1", *tail)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: %s\n" % message)
 
     def test_witness_odd_degree(self, capsys):
         code, out, _ = run_cli(capsys, "frobenius", "witness", "x^3-2")
