@@ -17,7 +17,8 @@ The environment variable DEGENERA_CAP, a positive integer, overrides the
 cap on the elements the search in `certify` enumerates: those of the image
 of the vertex stabilizer on one branch orbit of m darts, at most m!.  An
 image larger than the cap is refused before any is enumerated, and a
-branch orbit of odd size is settled without enumerating anything.
+branch orbit of odd size is settled without enumerating anything.  Only
+`certify` reads the variable; other commands ignore it, even malformed.
 `python -m degenera` runs the same tool.
 
 `main` finds the leaf in `_COMMANDS` named by the first one or two words of
@@ -64,8 +65,8 @@ from .frobenius import (
 )
 
 
-# The option table of each kind of leaf, in the order of its help: each entry
-# is an option's name and the keyword arguments of its add_argument call.
+# The option table of each leaf, in the order of its help: each entry is an
+# option's name and the keyword arguments of its add_argument call.
 # _leaf_parser builds its parser from these entries and _parse_leaf reads the
 # same ones, so a name, type, choice or default is written once.
 _FORMAT_OPTION = (
@@ -76,35 +77,36 @@ _FORMAT_OPTION = (
         "help": "report format (structured = one JSON object)",
     },
 )
-_GRAPH_OPTIONS = (
+_SOURCE_OPTIONS = (
     _FORMAT_OPTION,
     ("path", {"nargs": "?", "help": "graph file (vertices/edge lines)"}),
     ("--file", {"help": "graph file (alternative to the positional)"}),
     ("--family", {"choices": FAMILY_NAMES, "help": "built-in family"}),
     ("--genus", {"type": int, "help": "genus for parametrized families"}),
+)
+_BASE_VERTEX_OPTIONS = _SOURCE_OPTIONS + (
     ("--base-vertex", {"type": int, "default": 0, "help": "base vertex for stabilizers"}),
+)
+_POLY_OPTION = ("poly", {"help": "polynomial, e.g. 'x^4-x-1' or '-1,-1,0,0,1'"})
+_CENSUS_OPTIONS = (
+    _FORMAT_OPTION,
+    _POLY_OPTION,
+    ("--bound", {"type": int, "default": DEFAULT_CENSUS_BOUND}),
+)
+_WITNESS_OPTIONS = (
+    _FORMAT_OPTION,
+    _POLY_OPTION,
+    ("--bound", {"type": int, "default": DEFAULT_WITNESS_BOUND}),
 )
 
 
-def _options(default_bound):
-    """The table of a polynomial leaf with this default --bound, or of a
-    graph-source leaf if None."""
-    if default_bound is None:
-        return _GRAPH_OPTIONS
-    return (
-        _FORMAT_OPTION,
-        ("poly", {"help": "polynomial, e.g. 'x^4-x-1' or '-1,-1,0,0,1'"}),
-        ("--bound", {"type": int, "default": default_bound}),
-    )
-
-
-def _leaf_parser(words, default_bound):
+def _leaf_parser(words, options):
     """The argparse parser of one leaf, built from its option table."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="degenera " + " ".join(words))
     parser.set_defaults(subcommand=words[-1])
-    for name, spec in _options(default_bound):
+    for name, spec in options:
         parser.add_argument(name, **spec)
     return parser
 
@@ -114,26 +116,26 @@ def _is_negative_poly(token):
     return len(token) > 1 and token[0] == "-" and token[1] in "0123456789x"
 
 
-def _parse_leaf(words, default_bound, rest):
+def _parse_leaf(words, options, rest):
     """The attributes that the leaf's argparse parser gives `rest`.
 
     One loop over the option table takes full long option names, as
     `--name value` or `--name=value`, each at most once, at most one
     positional, and values that do not start with '-', converted by the
-    option's type or checked against its choices.  On a polynomial leaf the
-    positional may start with a minus sign (`_is_negative_poly`).  Anything
-    else, help included, goes to `_leaf_parser`, which alone prints help and
-    usage errors; a polynomial with a leading minus that the loop has read is
-    passed to it after `--`, where argparse cannot take it for an option.
+    option's type or checked against its choices.  On a polynomial leaf, one
+    whose positional is `poly`, that positional may start with a minus sign
+    (`_is_negative_poly`).  Anything else, help included, goes to
+    `_leaf_parser`, which alone prints help and usage errors; a polynomial
+    with a leading minus that the loop has read is passed to it after `--`,
+    where argparse cannot take it for an option.
     """
-    options = _options(default_bound)
     specs = dict(options)
     positional = next(name for name in specs if not name.startswith("-"))
     found = {}
     poly_at = None
     tokens = enumerate(rest)
     for at, token in tokens:
-        if default_bound is not None and _is_negative_poly(token):
+        if positional == "poly" and _is_negative_poly(token):
             name, value, poly_at = positional, token, at
         elif token.startswith("-"):
             name, equals, value = token.partition("=")
@@ -164,7 +166,7 @@ def _parse_leaf(words, default_bound, rest):
             )
     if poly_at is not None and "--" not in rest:
         rest = rest[:poly_at] + rest[poly_at + 1 :] + ["--", rest[poly_at]]
-    return _leaf_parser(words, default_bound).parse_args(rest)
+    return _leaf_parser(words, options).parse_args(rest)
 
 
 _HELP = {
@@ -234,7 +236,7 @@ def _fmt_pattern(pat):
     return ".".join(str(d) for d in pat)
 
 
-def _cmd_graph_analyze(args, cap):
+def _cmd_graph_analyze(args):
     graph, label = _load_graph(args)
     aut = automorphism_group(graph)
     orbits = aut.edge_orbits()
@@ -268,7 +270,13 @@ def _cmd_graph_analyze(args, cap):
     return _graph_input(graph, label), result, lines, 0
 
 
-def _cmd_certify(args, cap):
+def _cmd_certify(args):
+    try:
+        cap = int(os.environ.get("DEGENERA_CAP") or DEFAULT_ENUMERATION_CAP)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise ValueError("DEGENERA_CAP must be a positive integer")
     graph, label = _load_graph(args)
     verdict = certify_nonsplit(graph, base_vertex=args.base_vertex, cap=cap)
     result = verdict.to_dict()
@@ -313,7 +321,7 @@ def _cmd_certify(args, cap):
     )
 
 
-def _cmd_roundtrip(args, cap):
+def _cmd_roundtrip(args):
     graph, label = _load_graph(args)
     reports = roundtrip_report(graph, base_vertex=args.base_vertex)
     ok = all(r.ok for r in reports)
@@ -358,7 +366,7 @@ def _cmd_roundtrip(args, cap):
     return _graph_input(graph, label), result, lines, 0 if ok else 1
 
 
-def _cmd_frobenius(args, cap):
+def _cmd_frobenius(args):
     poly = parse_poly(args.poly)
     info = {"poly": str(poly), "bound": args.bound}
     if args.subcommand == "census":
@@ -415,14 +423,14 @@ def _yn(flag):
     return "yes" if flag else "no"
 
 
-# Command words -> (handler, default --bound, or None for a graph source).
+# Command words -> (handler, option table).
 _COMMANDS = {
-    ("graph", "analyze"): (_cmd_graph_analyze, None),
-    ("certify",): (_cmd_certify, None),
-    ("clutch", "roundtrip"): (_cmd_roundtrip, None),
-    ("frobenius", "census"): (_cmd_frobenius, DEFAULT_CENSUS_BOUND),
-    ("frobenius", "witness"): (_cmd_frobenius, DEFAULT_WITNESS_BOUND),
-    ("frobenius", "galois"): (_cmd_frobenius, DEFAULT_WITNESS_BOUND),
+    ("graph", "analyze"): (_cmd_graph_analyze, _SOURCE_OPTIONS),
+    ("certify",): (_cmd_certify, _BASE_VERTEX_OPTIONS),
+    ("clutch", "roundtrip"): (_cmd_roundtrip, _BASE_VERTEX_OPTIONS),
+    ("frobenius", "census"): (_cmd_frobenius, _CENSUS_OPTIONS),
+    ("frobenius", "witness"): (_cmd_frobenius, _WITNESS_OPTIONS),
+    ("frobenius", "galois"): (_cmd_frobenius, _WITNESS_OPTIONS),
 }
 
 
@@ -432,23 +440,13 @@ def main(argv=None):
     try:
         if words not in _COMMANDS:
             _overview_parser().parse_args(argv)  # help, --version or an error: exits
-        handler, default_bound = _COMMANDS[words]
-        args = _parse_leaf(words, default_bound, argv[len(words):])
+        handler, options = _COMMANDS[words]
+        args = _parse_leaf(words, options, argv[len(words):])
     except SystemExit as exc:
         return int(exc.code or 0)
-    cap = DEFAULT_ENUMERATION_CAP
-    env_cap = os.environ.get("DEGENERA_CAP")
-    if env_cap:
-        try:
-            cap = int(env_cap)
-        except ValueError:
-            cap = 0
-        if cap <= 0:
-            print("error: DEGENERA_CAP must be a positive integer", file=sys.stderr)
-            return 2
     started = time.perf_counter()
     try:
-        info, result, lines, code = handler(args, cap)
+        info, result, lines, code = handler(args)
     except (ValueError, EnumerationCapError, ChildProcessError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -787,7 +787,7 @@ class WitnessCertificate:
 
 def _require_monic(f):
     if not f.is_monic:
-        raise ValueError("witness search needs a monic polynomial")
+        raise ValueError("the polynomial must be monic (leading coefficient 1)")
 
 
 def find_even_witnesses(f, bound=DEFAULT_WITNESS_BOUND):

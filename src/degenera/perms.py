@@ -4,7 +4,8 @@ A permutation is stored as its image tuple, so p sends i to p.images[i].
 Products compose right-to-left: (a * b)(x) = a(b(x)).  Groups build, on
 demand, a deterministic stabilizer chain (Schreier-Sims with the base
 chosen greedily on first moved points, completed without recursion),
-which gives order, membership and element enumeration without randomness.
+which gives order, membership and pointwise stabilizers without
+randomness.  Elements are listed by one breadth-first walk (_image_walk).
 
 even_orbit_search builds no chain on the group's own points: it works on
 the image of the group on one orbit Ω, whose order it reads from a chain on
@@ -160,8 +161,8 @@ class _StabilizerChain:
 
     Strong generators are stored at the deepest level whose base prefix they
     fix; the generating set of level i is the union of the lists at levels
-    >= i.  An optional base_prefix pins the first base points, which makes
-    pointwise stabilizers read off as chain suffixes.
+    >= i.  An optional base_prefix pins the first base points; the strong
+    generators past the prefix then generate their pointwise stabilizer.
     """
 
     def __init__(self, degree, generators, base_prefix=()):
@@ -170,8 +171,6 @@ class _StabilizerChain:
         for b in base_prefix:
             self._new_level(b)
         for g in generators:
-            if g.degree != degree:
-                raise ValueError("generator degree %d != %d" % (g.degree, degree))
             self._park(g)
         self._complete()
 
@@ -268,36 +267,6 @@ class _StabilizerChain:
             n *= len(lvl.transversal)
         return n
 
-    def iter_elements(self):
-        """All group elements, one per transversal combination, in a fixed order.
-
-        The combinations run like an odometer, the last level fastest;
-        prefix[i] is the product of the representatives chosen at levels
-        before i, so each element costs one product.
-        """
-        reps = [[lvl.transversal[x] for x in sorted(lvl.transversal)] for lvl in self.levels]
-        prefix = [Perm.identity(self.degree)]
-        chosen = []
-        while True:
-            while len(chosen) < len(reps):
-                chosen.append(0)
-                prefix.append(prefix[-1] * reps[len(chosen) - 1][0])
-            yield prefix[-1]
-            while chosen and chosen[-1] + 1 == len(reps[len(chosen) - 1]):
-                chosen.pop()
-                prefix.pop()
-            if not chosen:
-                return
-            chosen[-1] += 1
-            prefix[-1] = prefix[-2] * reps[len(chosen) - 1][chosen[-1]]
-
-    def suffix(self, k):
-        """A fresh chain view for the subgroup fixing the first k base points."""
-        sub = object.__new__(_StabilizerChain)
-        sub.degree = self.degree
-        sub.levels = self.levels[k:]
-        return sub
-
 
 class PermGroup:
     """Group generated by a list of permutations of common degree."""
@@ -317,12 +286,6 @@ class PermGroup:
             self._chain_obj = _StabilizerChain(self.degree, self.generators)
         return self._chain_obj
 
-    @classmethod
-    def _from_chain(cls, degree, generators, chain):
-        group = cls(degree, generators)
-        group._chain_obj = chain
-        return group
-
     def order(self):
         return self._chain.order()
 
@@ -336,13 +299,14 @@ class PermGroup:
         return other.degree == self.degree and all(g in self for g in other.generators)
 
     def elements(self, cap=DEFAULT_ENUMERATION_CAP):
-        """All elements in a deterministic order.  Refuses to exceed cap."""
+        """All elements, breadth-first from the identity.  Refuses to exceed cap."""
         n = self.order()
         if n > cap:
             raise EnumerationCapError(
                 "enumeration cap exceeded: group order %d > cap %d" % (n, cap)
             )
-        return list(self._chain.iter_elements())
+        gens = [g.images for g in self.generators] or [tuple(range(self.degree))]
+        return [Perm._unchecked(a) for a in _image_walk(gens)[0]]
 
     def orbit(self, point):
         """Orbit of a point, listed breadth-first with generators in order."""
@@ -381,9 +345,7 @@ class PermGroup:
         if not prefix:
             return self
         chain = _StabilizerChain(self.degree, self.generators, base_prefix=prefix)
-        sub = chain.suffix(len(prefix))
-        gens = [g for lvl in sub.levels for g in lvl.gens]
-        return PermGroup._from_chain(self.degree, gens, sub)
+        return PermGroup(self.degree, chain._gens_for(len(prefix)))
 
 
 def group_from_generators(generators, degree=None):

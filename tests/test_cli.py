@@ -160,19 +160,21 @@ class TestDispatch:
     def test_table_loop_matches_argparse(self, parsers_built, words):
         """Every option in both forms, in three orders, with and without the
         positional: the attributes argparse gives, with no parser built."""
-        default_bound = cli._COMMANDS[words][1]
-        if default_bound is None:
-            values = {
-                "--format": "structured",
-                "--file": "g.graph",
-                "--family": "circulant",
-                "--genus": "3",
-                "--base-vertex": "2",
-            }
-            positionals = [None, "other.graph"]
-        else:
-            values = {"--format": "structured", "--bound": "77"}
+        options = cli._COMMANDS[words][1]
+        sample = {
+            "--format": "structured",
+            "--file": "g.graph",
+            "--family": "circulant",
+            "--genus": "3",
+            "--base-vertex": "2",
+            "--bound": "77",
+        }
+        names = [name for name, _ in options]
+        values = {name: sample[name] for name in names if name.startswith("-")}
+        if "poly" in names:
             positionals = ["x^4-x-1", "-1,-1,0,0,1", "-x^4+x+1"]
+        else:
+            positionals = [None, "other.graph"]
         shuffle = random.Random(16).shuffle
         checked = 0
         for count in range(len(values) + 1):
@@ -188,12 +190,12 @@ class TestDispatch:
                         reference += ["--", positional]
                     shuffled = tokens[:]
                     shuffle(shuffled)
-                    parser = cli._leaf_parser(words, default_bound)
+                    parser = cli._leaf_parser(words, options)
                     expected = vars(parser.parse_args(reference))
                     parsers_built.clear()
                     for order in (tokens, tokens[::-1], shuffled):
                         rest = sum(order, [])
-                        assert vars(cli._parse_leaf(words, default_bound, rest)) == expected
+                        assert vars(cli._parse_leaf(words, options, rest)) == expected
                         assert parsers_built == [], rest
                         checked += 1
         assert checked == 3 * 2 * len(positionals) * 2 ** len(values)
@@ -221,7 +223,7 @@ class TestDispatch:
     def test_declined_input_goes_to_argparse(self, capsys, parsers_built, words, rest):
         """What the table's loop declines gets argparse's attributes, or its
         message and exit code, from the one parser of the leaf."""
-        default_bound = cli._COMMANDS[words][1]
+        options = cli._COMMANDS[words][1]
 
         def outcome(parse):
             try:
@@ -229,9 +231,9 @@ class TestDispatch:
             except SystemExit as exc:
                 return exc.code, capsys.readouterr().err
 
-        got = outcome(lambda rest: cli._parse_leaf(words, default_bound, rest))
+        got = outcome(lambda rest: cli._parse_leaf(words, options, rest))
         assert parsers_built == ["degenera " + " ".join(words)]
-        assert got == outcome(cli._leaf_parser(words, default_bound).parse_args)
+        assert got == outcome(cli._leaf_parser(words, options).parse_args)
 
     def test_import_leaves_argparse_out(self):
         done = subprocess.run(
@@ -356,6 +358,15 @@ class TestAnalyze:
         assert "genus: 1" in out
         assert "stable: no" in out
         assert "admissible: n/a (unstable)" in out
+
+    def test_base_vertex_is_not_an_option(self, capsys):
+        # analyze reports the whole graph, so it has no base vertex to take
+        code, out, err = run_cli(
+            capsys, "graph", "analyze", "--family", "k5", "--base-vertex", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: degenera graph analyze ")
+        assert err.endswith("error: unrecognized arguments: --base-vertex\n")
 
 
 class TestCertify:
@@ -534,6 +545,13 @@ class TestFrobenius:
 
     def test_witness_nonmonic_rejected(self, capsys):
         assert run_cli(capsys, "frobenius", "witness", "2x^2+1")[0] == 2
+
+    @pytest.mark.parametrize("kind", ["witness", "galois"])
+    @pytest.mark.parametrize("poly", ["2x^4+x+1", "-x^4+x+1"])
+    def test_nonmonic_message_names_no_other_search(self, capsys, kind, poly):
+        code, out, err = run_cli(capsys, "frobenius", kind, poly)
+        assert (code, out) == (2, "")
+        assert err == "error: the polynomial must be monic (leading coefficient 1)\n"
 
     def test_census_table(self, capsys):
         code, out, _ = run_cli(
@@ -730,9 +748,7 @@ class TestEnumerationCap:
         assert err == ""
         assert "status: NOT_CERTIFIED" in out
 
-    @pytest.mark.parametrize(
-        "command", [("certify",), ("clutch", "roundtrip")], ids=["certify", "roundtrip"]
-    )
+    @pytest.mark.parametrize("command", [("certify",)], ids=["certify"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_cap_env_must_be_positive(self, capsys, monkeypatch, command, value):
         monkeypatch.setenv("DEGENERA_CAP", value)
@@ -746,6 +762,32 @@ class TestEnumerationCap:
         code, _, err = run_cli(capsys, "certify", "--family", "k5")
         assert code == 2
         assert "DEGENERA_CAP" in err
+
+    def test_cap_env_is_checked_before_the_graph_loads(self, capsys, monkeypatch):
+        monkeypatch.setenv("DEGENERA_CAP", "plenty")
+        code, out, err = run_cli(capsys, "certify", "no-such-file.graph")
+        assert (code, out) == (2, "")
+        assert err == "error: DEGENERA_CAP must be a positive integer\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "analyze", "--family", "k5"],
+            ["clutch", "roundtrip", "--family", "theta-loops"],
+            ["frobenius", "census", "x^2+1", "--bound", "50"],
+        ],
+        ids=" ".join,
+    )
+    def test_only_certify_reads_the_cap(self, capsys, monkeypatch, argv):
+        def report(*env):
+            monkeypatch.delenv("DEGENERA_CAP", raising=False)
+            if env:
+                monkeypatch.setenv("DEGENERA_CAP", *env)
+            code, out = structured(capsys, *argv)
+            del out["timing_ms"]
+            return code, out
+
+        assert report("abc") == report("0") == report()
 
     def test_generous_cap_is_harmless(self, capsys, monkeypatch):
         monkeypatch.setenv("DEGENERA_CAP", "100000")
