@@ -19,9 +19,11 @@ Since G3 fixes the dart d0, G2/G3 is the dart orbit Ω = G2·d0, and the
 search reads those orbit sizes as cycle lengths on the darts of Ω.  |G1|
 comes from the generator search, rooted at v0 for certification, so the
 generators it found that fix v0, with the parallel swaps and loop flips,
-generate G2 and |G2| = |G1| / |orbit of v0|.  The search runs on G2's
-image on Ω, which has at most m! elements.  Each entry point builds Aut
-once and passes it down, and no stabilizer chain is built on the darts.
+generate G2 and |G2| = |G1| / |orbit of v0|.  Only the swaps and flips of
+the classes at v0 move a dart there, so the search runs on them and those
+lifts, which give G2's image on Ω (at most m! elements), and the walk of
+d0 applies the kernel implicitly.  Each entry point builds Aut once and
+passes it down, and no stabilizer chain is built on the darts.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class NoEndpointSwapError(ValueError):
 class ClutchingData:
     """Stabilizer tower of a pointed edge in the dart automorphism group.
 
-    walk is the orbit of the base dart d0 as PermGroup.orbit lists it; dart
+    walk is the orbit of the base dart d0 as GraphAut.orbit lists it; dart
     d of it sits at vertex graph.vertex_of(d) on edge d >> 1.  Every order
     comes from it by orbit-stabilizer: |G2| = |G1| / n over the n distinct
     vertices, |G3| = |G1| / len(walk) and |G4| = |G1| / (number of distinct
@@ -101,7 +103,7 @@ def stabilizer_tower(aut, base_vertex, base_edge):
         base_dart = 2 * base_edge
     else:
         base_dart = graph.dart_at(base_edge, base_vertex)
-    walk = aut.group.orbit(base_dart)
+    walk = aut.orbit(base_dart)
     n = len({graph.vertex_of(d) for d in walk})
     return ClutchingData(
         graph=graph,
@@ -282,8 +284,8 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
     No stabilizer chain is built on the darts: |G2| = |G1| / |orbit of v0|
     and |G3| = |G2| / m by orbit-stabilizer.  The generator search of Aut
     is rooted at v0, so the generators it found that fix v0, with the
-    parallel swaps and loop flips, generate G2 itself, and the search runs
-    on them.
+    parallel swaps and loop flips, generate G2 itself.  The search runs on
+    those of them that can move a dart at v0, which give the same image.
     """
     if not graph.is_stable():
         raise ValueError("certification needs a stable graph (all degrees >= 3)")
@@ -310,15 +312,15 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
         )
     n = aut.root_orbit
     g2_order = g1_order // n
-    g2 = PermGroup(graph.dart_count, aut.root_stabilizer)
+    branches = PermGroup(graph.dart_count, aut.branch_generators())
     edge_orbits = aut.edge_orbits()
     edge_orbit_of = {k: idx for idx, orbit in enumerate(edge_orbits) for k in orbit}
     reports = []
-    for dart_orbit in g2.orbits(points=graph.darts_at(base_vertex)):
+    for dart_orbit in branches.orbits(points=graph.darts_at(base_vertex)):
         d0 = dart_orbit[0]
         e0 = graph.edge_of(d0)
         m = len(dart_orbit)
-        cert = even_orbit_search(g2, d0, cap=cap)
+        cert = even_orbit_search(branches, d0, cap=cap)
         reports.append(
             OrbitSearchReport(
                 edge_orbit_index=edge_orbit_of[e0],

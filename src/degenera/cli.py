@@ -38,6 +38,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import __version__
@@ -250,7 +251,7 @@ def _cmd_graph_analyze(args):
         "stable": stable,
         "all_degrees_even": graph.all_degrees_even(),
         "aut_order": aut.order,
-        "aut_generators": len(aut.group.generators),
+        "aut_generators": aut.generator_count,
         "vertex_transitive": aut.is_vertex_transitive(),
         "edge_orbits": [list(o) for o in orbits],
         "admissible": admissible,
@@ -463,7 +464,7 @@ def main(argv=None):
                 "timing_ms": round(elapsed_ms, 3),
                 "version": __version__,
             }
-            print(json.dumps(report, indent=2, sort_keys=True))
+            print(_json_text(report))
         else:
             print("degenera %s" % " ".join(words))
             print("input: %s" % _describe_input(info))
@@ -473,6 +474,34 @@ def main(argv=None):
     except BrokenPipeError:
         pass  # the reader is gone; the run's exit status still stands
     return code
+
+
+def _json_text(value, indent="\n"):
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, from
+    json's C string encoder, int.__repr__ and json's text of other scalars."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
+            for key in sorted(value)
+        ]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        if all(type(item) is int for item in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_json_text(item, inner) for item in value]
+    else:
+        return json.dumps(value)
+    if not value:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def _describe_input(info):

@@ -6,22 +6,23 @@ at the same vertex, so it contributes 2 to the degree.  The genus of a
 connected graph is |E| - |V| + 1, which equals the rank of its cycle space.
 
 Automorphisms are permutations of the darts that commute with the involution
-and descend to a vertex bijection.  The group is assembled from local
-generators (parallel-edge swaps and loop dart flips, which span everything
-fixing all vertices) together with canonical dart lifts of a small
-generating set of the multiplicity-preserving vertex automorphisms.  That
-set comes from a search along a breadth-first vertex base with
-first-in-orbit pruning: each base point needs at most (orbit length - 1)
-generators, so their number follows the orbit lengths, not |Aut|, and
-those lengths give |Aut| with no stabilizer chain.  Rooted at one vertex
-and run on every level, the search gives Aut, and the generators found
-before the root's level, with the local ones, generate its stabilizer;
-run only on the levels after a prefix of the base, it gives the prefix's
-pointwise stabilizer, which decides admissibility.  One iterative
-first-solution backtrack serves that search and find_isomorphism.  The
-dart action is the only group built, with no chain on it: a vertex orbit
-is the set of vertices of the darts in one dart orbit, and an edge orbit
-the set of their edges.
+and descend to a vertex bijection.  The kernel of the vertex action (the
+parallel-edge swaps and loop flips) stays implicit as the parallel classes;
+it is extended by canonical dart lifts of a small generating set of the
+multiplicity-preserving vertex automorphisms.  That set comes from a
+search along a breadth-first vertex base with first-in-orbit pruning: each
+base point needs at most (orbit length - 1) generators, so their number
+follows the orbit lengths, not |Aut|, and those lengths give |Aut| with no
+stabilizer chain.  Rooted at one vertex and run on every level, the search
+gives Aut, and the generators found before the root's level, with the
+kernel, generate its stabilizer; run only on the levels after a prefix of
+the base, it gives the prefix's pointwise stabilizer, which decides
+admissibility.  One iterative first-solution backtrack serves that search
+and find_isomorphism.  Vertex orbits come from the vertex generators, edge
+orbits from the lifts merged with the parallel classes, and the orbit of a
+dart from the lifts and the few kernel generators that move it, so no
+command spends time or memory on the kernel's permutations: the group with
+every generator explicit is built only when read.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ def theta_loops():
     return DartGraph(2, [(0, 1), (0, 1), (0, 0), (1, 1)])
 
 
-# the double cycle of this genus takes about 0.5 GiB and 20-30 s per command
+# the double cycle of this genus takes 0.13-0.22 s and 21-30 MiB per command
 GENUS_LIMIT = 4096
 
 
@@ -303,8 +304,9 @@ class _VertexMatcher:
 
     def __init__(self, a, b, prefix=(0,)):
         self.n = a.vertex_count
-        self.nbrs_a, self.sig_a = _neighbourhoods(a)
-        self.nbrs_b, self.sig_b = _neighbourhoods(b)
+        side_a = _neighbourhoods(a)
+        self.nbrs_a, self.sig_a = side_a
+        self.nbrs_b, self.sig_b = side_a if b is a else _neighbourhoods(b)
         self.sorted_b = [sorted(nb) for nb in self.nbrs_b]
         self.image = [None] * self.n
         self.used = [False] * self.n
@@ -466,43 +468,40 @@ def _lift_vertex_map(a, b, sigma, classes_a, classes_b):
     """Canonical dart map covering sigma: k-th parallel edge to k-th parallel edge.
 
     classes_a and classes_b are a.parallel_classes() and b.parallel_classes().
+    Dart 2e sits at a.edges[e][0], so a pair of darts keeps its order exactly
+    when both edges start at corresponding endpoints.
     """
+    ends_a, ends_b = a.edges, b.edges
     images = [None] * a.dart_count
     for (u, v), edge_ids in classes_a.items():
         su, sv = sigma[u], sigma[v]
         targets = classes_b[(min(su, sv), max(su, sv))]
         for e, f in zip(edge_ids, targets):
-            if u == v:
-                images[2 * e] = 2 * f
-                images[2 * e + 1] = 2 * f + 1
-            else:
-                images[a.dart_at(e, u)] = b.dart_at(f, su)
-                images[a.dart_at(e, v)] = b.dart_at(f, sv)
+            flip = (ends_a[e][0] != u) ^ (ends_b[f][0] != su)
+            images[2 * e] = 2 * f + flip
+            images[2 * e + 1] = 2 * f + 1 - flip
     return images
 
 
-def _local_generators(graph, classes):
-    """Dart permutations fixing every vertex: parallel swaps and loop flips."""
+def _dart_generators(graph, classes, lifts):
+    """Dart permutations: the swap of each pair of adjacent edges in the
+    given parallel classes, then the flip of each loop in them, then the
+    given lifts."""
     gens = []
     identity = list(range(graph.dart_count))
-    for (u, v), edge_ids in classes.items():
+    for edge_ids in classes.values():
         for e, f in zip(edge_ids, edge_ids[1:]):
             images = identity[:]
-            if u == v:
-                images[2 * e], images[2 * f] = 2 * f, 2 * e
-                images[2 * e + 1], images[2 * f + 1] = 2 * f + 1, 2 * e + 1
-            else:
-                de, df = graph.dart_at(e, u), graph.dart_at(f, u)
-                images[de], images[df] = df, de
-                de, df = graph.dart_at(e, v), graph.dart_at(f, v)
-                images[de], images[df] = df, de
-            gens.append(Perm(images))
-    for e in range(graph.edge_count):
-        if graph.is_loop(e):
-            images = identity[:]
-            images[2 * e], images[2 * e + 1] = 2 * e + 1, 2 * e
-            gens.append(Perm(images))
-    return gens
+            flip = graph.edges[e] != graph.edges[f]
+            images[2 * e], images[2 * f + flip] = 2 * f + flip, 2 * e
+            images[2 * e + 1], images[2 * f + 1 - flip] = 2 * f + 1 - flip, 2 * e + 1
+            gens.append(images)
+    loops = sorted(e for (u, v), edge_ids in classes.items() if u == v for e in edge_ids)
+    for e in loops:
+        images = identity[:]
+        images[2 * e], images[2 * e + 1] = 2 * e + 1, 2 * e
+        gens.append(images)
+    return [Perm._unchecked(tuple(p)) for p in gens + list(lifts)]
 
 
 _DARTLESS = "a vertex with no dart has no image under a dart permutation"
@@ -511,20 +510,22 @@ _DARTLESS = "a vertex with no dart has no image under a dart permutation"
 class GraphAut:
     """Automorphism group of a graph in its faithful action on darts.
 
-    order is |Aut|, known from the generator search, so reading it builds
-    no stabilizer chain; group.order() recomputes it through one.  Vertex
-    and edge orbits are read off the dart orbits: dart d sits at vertex
-    vertex_of(d) on edge d >> 1.  The search that found the generators was
-    rooted at one vertex: root_stabilizer lists the generators that fix it,
-    which generate its stabilizer, and root_orbit is the length of its
-    orbit.
+    The group is the kernel of the vertex action, kept implicit as the
+    parallel classes (S_m on each class of m edges, C_2 wr S_k on each
+    class of k loops), extended by lifts, the canonical dart lifts of the
+    vertex generators.  order is |Aut| from the generator search, rooted
+    at root, whose orbit has root_orbit vertices.  group and
+    root_stabilizer, with every kernel generator a dart permutation, are
+    built when first read; no command reads them.
     """
 
-    def __init__(self, graph, group, order, root_stabilizer, root_orbit):
+    def __init__(self, graph, classes, order, vertex_gens, lifts, root, root_orbit):
         self.graph = graph
-        self.group = group
+        self.classes = classes
         self.order = order
-        self.root_stabilizer = root_stabilizer
+        self.vertex_gens = vertex_gens
+        self.lifts = lifts
+        self.root = root
         self.root_orbit = root_orbit
 
     def vertex_perm(self, p):
@@ -541,54 +542,127 @@ class GraphAut:
             raise ValueError(_DARTLESS)
         return Perm(images)
 
+    def _fixing_root(self, classes):
+        root = self.root
+        fixing = [p for p, s in zip(self.lifts, self.vertex_gens) if s[root] == root]
+        return _dart_generators(self.graph, classes, fixing)
+
     @cached_property
-    def _dart_orbits(self):
+    def group(self):
+        generators = _dart_generators(self.graph, self.classes, self.lifts)
+        return PermGroup(self.graph.dart_count, generators)
+
+    @cached_property
+    def root_stabilizer(self):
+        """Generators of the stabilizer of root."""
+        return tuple(self._fixing_root(self.classes))
+
+    def branch_generators(self):
+        """Those of root_stabilizer that can move a dart at root, in its
+        order: the swaps and flips of the classes at root, then the lifts
+        fixing root.  On the darts at root they generate the same image."""
+        root = self.root
+        at_root = {key: ids for key, ids in self.classes.items() if root in key}
+        return self._fixing_root(at_root)
+
+    @property
+    def generator_count(self):
+        """len(group.generators) on a connected graph, without building it."""
+        classes = self.classes.items()
+        kernel = sum(len(ids) - 1 + (u == v) * len(ids) for (u, v), ids in classes)
+        return kernel + len(self.lifts)
+
+    @cached_property
+    def _moves(self):
+        """Per dart, its images under those of group.generators that can
+        move it, in their order: the swaps with the neighbouring edges in
+        its class, its flip if on a loop, then every lift."""
+        edges = self.graph.edges
+        moves = [[] for _ in range(self.graph.dart_count)]
+        for (u, v), edge_ids in self.classes.items():
+            for e, f in zip(edge_ids, edge_ids[1:]):
+                flip = edges[e] != edges[f]
+                for side in (0, 1):
+                    moves[2 * e + side].append(2 * f + (side ^ flip))
+                    moves[2 * f + (side ^ flip)].append(2 * e + side)
+            if u == v:
+                for e in edge_ids:
+                    moves[2 * e].append(2 * e + 1)
+                    moves[2 * e + 1].append(2 * e)
+        for p in self.lifts:
+            for x, y in enumerate(p):
+                moves[x].append(y)
+        return moves
+
+    def orbit(self, dart):
+        """The orbit of a dart, listed as group.orbit lists it."""
+        moves = self._moves
+        walk, seen = [dart], {dart}
+        for x in walk:
+            for y in moves[x]:
+                if y not in seen:
+                    seen.add(y)
+                    walk.append(y)
+        return walk
+
+    def _orbits(self, count, maps):
+        """Orbits of 0..count-1 under the maps (image sequences), each
+        sorted, by least point."""
         if 0 in self.graph.degrees():
             raise ValueError(_DARTLESS)
-        return self.group.orbits()
-
-    def _orbits(self, point_of):
-        orbits = self._dart_orbits
-        return sorted({tuple(sorted({point_of(d) for d in orb})) for orb in orbits})
+        placed = [False] * count
+        orbits = []
+        for x in range(count):
+            if not placed[x]:
+                placed[x] = True
+                orbit = [x]
+                for y in orbit:
+                    for image in maps:
+                        z = image[y]
+                        if not placed[z]:
+                            placed[z] = True
+                            orbit.append(z)
+                orbits.append(tuple(sorted(orbit)))
+        return orbits
 
     def vertex_orbits(self):
-        return self._orbits(self.graph.vertex_of)
+        return self._orbits(self.graph.vertex_count, self.vertex_gens)
 
     def edge_orbits(self):
-        return self._orbits(self.graph.edge_of)
+        """The lifts' orbits on edges, merged with the parallel classes."""
+        cycle = list(range(self.graph.edge_count))
+        for ids in self.classes.values():
+            for e, f in zip(ids, ids[1:] + ids[:1]):
+                cycle[e] = f
+        maps = [[d >> 1 for d in p[::2]] for p in self.lifts]
+        return self._orbits(self.graph.edge_count, maps + [cycle])
 
     def is_vertex_transitive(self):
-        return len(self.vertex_orbits()) == 1
+        return self.root_orbit == self.graph.vertex_count
 
 
 def automorphism_group(graph, root=0):
     """The full automorphism group of the graph, acting on darts.
 
     The generator search is rooted at the vertex root, so the returned
-    GraphAut also carries the stabilizer of root and the length of its
-    orbit.  Its order is the number of vertex automorphisms times the order
-    of the kernel of the vertex action, which permutes each class of m
-    parallel edges (m!) and each class of k loops at a vertex, flipping
-    loops too (k! 2^k).  Nothing is cached: a caller passes the result on.
+    GraphAut also carries the length of its orbit.  Its order is the number
+    of vertex automorphisms times the order of the kernel of the vertex
+    action, which permutes each class of m parallel edges (m!) and each
+    class of k loops at a vertex, flipping loops too (k! 2^k).  Nothing is
+    cached: a caller passes the result on.
     """
     if not 0 <= root < graph.vertex_count:
         raise ValueError("root vertex %d out of range" % root)
     classes = graph.parallel_classes()
-    kernel = _local_generators(graph, classes)
     vertex_gens, order, root_orbit = _vertex_generators(graph, (root,))
     lifts = [
-        Perm(_lift_vertex_map(graph, graph, sigma, classes, classes))
+        tuple(_lift_vertex_map(graph, graph, sigma, classes, classes))
         for sigma in vertex_gens
-    ]
-    # the kernel fixes every vertex
-    stabilizer = kernel + [
-        p for p, sigma in zip(lifts, vertex_gens) if sigma[root] == root
     ]
     for (u, v), edge_ids in classes.items():
         k = len(edge_ids)
         order *= factorial(k) << (k if u == v else 0)
-    group = PermGroup(graph.dart_count, kernel + lifts)
-    return GraphAut(graph, group, order, tuple(stabilizer), root_orbit)
+    return GraphAut(graph, classes, order, vertex_gens, lifts, root, root_orbit)
 
 
 def is_admissible(aut):
@@ -610,7 +684,7 @@ def is_admissible(aut):
     if not heavy:
         return aut.order == 1
     pinned = set(heavy)
-    for (u, v), edge_ids in graph.parallel_classes().items():
+    for (u, v), edge_ids in aut.classes.items():
         if u in heavy or v in heavy:
             pinned.update((u, v))
         elif u == v or len(edge_ids) > 1:

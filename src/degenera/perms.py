@@ -9,7 +9,8 @@ randomness.  Elements are listed by one breadth-first walk (_image_walk).
 
 even_orbit_search builds no chain on the group's own points: it works on
 the image of the group on one orbit Ω, whose order it reads from a chain on
-the |Ω| points and whose elements it walks breadth-first, and it lifts the
+the |Ω| points only when |Ω|! exceeds the cap (otherwise the image cannot
+pass the cap), whose elements it walks breadth-first, and it lifts the
 image it chooses along a word in the generators.  CosetAction and
 verify_certificate re-check a certificate from the chain of the whole
 group, independently of that search, and so does pointwise_stabilizer; no
@@ -22,7 +23,7 @@ every orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import factorial, lcm
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -464,12 +465,13 @@ def _best_image(group, point, cap):
         return None
     position = {x: i for i, x in enumerate(orbit)}
     on_orbit = [tuple(position[g.images[x]] for x in orbit) for g in group.generators]
-    size = PermGroup(len(orbit), map(Perm._unchecked, on_orbit)).order()
-    if size > cap:
-        raise EnumerationCapError(
-            "enumeration cap exceeded: the image on an orbit of %d points has "
-            "%d elements > cap %d" % (len(orbit), size, cap)
-        )
+    if factorial(len(orbit)) > cap:
+        size = PermGroup(len(orbit), map(Perm._unchecked, on_orbit)).order()
+        if size > cap:
+            raise EnumerationCapError(
+                "enumeration cap exceeded: the image on an orbit of %d points has "
+                "%d elements > cap %d" % (len(orbit), size, cap)
+            )
     elements, parents = _image_walk(on_orbit)
     home = position[point]
     orders = []
@@ -508,13 +510,13 @@ def even_orbit_search(group, point, cap=DEFAULT_ENUMERATION_CAP):
     image in the action on Ω.  An odd |Ω| leaves an odd cycle under every
     element and ends the search at once.  Otherwise the image of the group
     on Ω (at most |Ω|! elements) is walked breadth-first, keeping one word
-    in the generators per image element; the order of the image is read
-    first from a stabilizer chain on the |Ω| points, and an image larger
-    than cap is refused before the walk.  Image elements are ranked by
-    the rule: first those whose order is a power of two that no image
-    element fixing point has (such an element fixes no point of Ω, so its
-    cycles are all even), then by increasing order, then by the image
-    tuple.  The best one with only even cycles has 2-power order, since
+    in the generators per image element; when |Ω|! exceeds cap, the order
+    of the image is read first from a stabilizer chain on the |Ω| points,
+    and an image larger than cap is refused before the walk.  Image
+    elements are ranked by the rule: first those whose order is a power of
+    two that no image element fixing point has (such an element fixes no
+    point of Ω, so its cycles are all even), then by increasing order, then
+    by the image tuple.  The best one with only even cycles has 2-power order, since
     the power of an image that keeps only its 2-part has even cycles too
     and ranks no later.  It is lifted by multiplying along its word to
     some g in the group, and the certificate is g^k, where k is the odd

@@ -5,9 +5,10 @@ determinants over Fractions, exhaustive dart-permutation filters, networkx
 vertex automorphisms with the orbit bound they give along a base,
 vertex and edge stabilizers from Schreier-Sims chains on a lifted action
 (darts, vertices and edges) built here from each generator's vertex and
-edge images, coset tables (for reconstruction and the even-orbit search), and
-trial-division factorization.  None of it shares code with the package
-internals it checks.
+edge images, coset tables (for reconstruction and the even-orbit search),
+the explicit automorphism group (every parallel swap and loop flip as a dart
+permutation, then the lifts) and trial-division factorization.  None of it
+shares code with the package internals it checks.
 """
 
 import itertools
@@ -236,6 +237,47 @@ def _lifted_stabilizer(aut, start, count, index):
     )
     fixed = lifted.pointwise_stabilizer((start + index,))
     return PermGroup(darts, [Perm(h.images[:darts]) for h in fixed.generators])
+
+
+def explicit_kernel(graph):
+    """The kernel of the vertex action as dart permutations: per parallel
+    class, keys sorted, the swap of each pair of adjacent edges, then the
+    flip of every loop in edge order."""
+    gens = []
+    for (u, v), edge_ids in graph.parallel_classes().items():
+        for e, f in zip(edge_ids, edge_ids[1:]):
+            images = list(range(graph.dart_count))
+            if u == v:
+                pairs = [(2 * e, 2 * f), (2 * e + 1, 2 * f + 1)]
+            else:
+                pairs = [(graph.dart_at(e, w), graph.dart_at(f, w)) for w in (u, v)]
+            for a, b in pairs:
+                images[a], images[b] = b, a
+            gens.append(Perm(images))
+    for e in range(graph.edge_count):
+        if graph.is_loop(e):
+            images = list(range(graph.dart_count))
+            images[2 * e], images[2 * e + 1] = 2 * e + 1, 2 * e
+            gens.append(Perm(images))
+    return gens
+
+
+def explicit_group(aut):
+    """Aut with every kernel generator explicit, then the lifts."""
+    from degenera.perms import PermGroup
+
+    lifts = [Perm(p) for p in aut.lifts]
+    return PermGroup(aut.graph.dart_count, explicit_kernel(aut.graph) + lifts)
+
+
+def explicit_root_stabilizer(aut):
+    """The stabilizer of the search's root: every kernel generator, then
+    the lifts of the vertex generators fixing the root."""
+    from degenera.perms import PermGroup
+
+    root = aut.root
+    lifts = [Perm(p) for p, s in zip(aut.lifts, aut.vertex_gens) if s[root] == root]
+    return PermGroup(aut.graph.dart_count, explicit_kernel(aut.graph) + lifts)
 
 
 def vertex_stabilizer(aut, v):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -28,17 +29,23 @@ from degenera.graphs import (
 from degenera.perms import (
     DEFAULT_ENUMERATION_CAP,
     CosetAction,
+    EnumerationCapError,
     Perm,
     PermGroup,
     _best_image,
+    even_orbit_search,
     verify_certificate,
 )
 from helpers import (
+    brute_closure,
     brute_coset_orbit_sizes,
     coset_even_orbit_search,
     coset_gamma_dagger,
+    explicit_group,
+    explicit_root_stabilizer,
     odd_powers,
     petersen_graph,
+    prism_graph,
     random_connected_multigraph,
     relabel_graph,
     tower_groups,
@@ -268,14 +275,34 @@ class TestChainCount:
         assert len(roundtrip_report(theta_loops())) == 2
 
     def test_certify_builds_no_edge_or_admissibility_chain(self, monkeypatch):
-        # the only chains are the search's, one on the m points of each
-        # even branch orbit; none on the darts or the lifted points
+        # at the default cap no chain is built on a branch orbit of up to 9
+        # darts, whose image has at most 9! < cap elements; none on the darts
+        # or the lifted points
+        bouquet = DartGraph(1, [(0, 0)] * 4)
         for g in (complete_graph(5), complete_bipartite(4, 4), doubled_cycle(11),
-                  theta_loops(), rigid_fixture()):
-            built = self.chains_built(monkeypatch, certify_nonsplit, g)
-            even = [r.m for r in certify_nonsplit(g).per_orbit if r.m % 2 == 0]
-            assert sorted(built) == sorted((m, ()) for m in even)
-            assert all(degree < g.dart_count for degree, _ in built)
+                  theta_loops(), rigid_fixture(), bouquet):
+            assert self.chains_built(monkeypatch, certify_nonsplit, g) == []
+            assert max(r.m for r in certify_nonsplit(g).per_orbit) <= 9
+        assert [r.m for r in certify_nonsplit(bouquet).per_orbit] == [8]
+        # with a cap between |H| and m!, the order of the image H on each
+        # even branch orbit of m darts is read from one chain on its m points
+        for g in (circulant_graph(7), doubled_cycle(11), DartGraph(1, [(0, 0)] * 2),
+                  bouquet):
+            verdict = certify_nonsplit(g)
+            even = [r for r in verdict.per_orbit if r.m % 2 == 0]
+            stabilizer = automorphism_group(g).root_stabilizer
+            cap = max(
+                len(brute_closure([
+                    [r.dart_orbit.index(p.images[x]) for x in r.dart_orbit]
+                    for p in stabilizer
+                ]))
+                for r in even
+            )
+            assert cap < min(math.factorial(r.m) for r in even)
+            run = lambda graph: certify_nonsplit(graph, cap=cap)
+            built = self.chains_built(monkeypatch, run, g)
+            assert sorted(built) == sorted((r.m, ()) for r in even)
+            assert run(g) == verdict
 
     def test_analyze_builds_no_chain(self, monkeypatch, capsys, tmp_path):
         from degenera.cli import main
@@ -431,6 +458,79 @@ class TestEvenOrbitSearchOracle:
                 powers = {tuple(orbit[i] for i in p) for p in odd_powers(chosen)}
                 assert on_orbit in powers
         assert found >= 30
+
+
+class TestImplicitKernelOracle:
+    """The implicit kernel at every base vertex against the explicit group,
+    with every parallel swap and loop flip a dart permutation: orbits,
+    generator counts, orbit walks in order, branch orbits and certificates."""
+
+    CAP = 5000
+
+    @classmethod
+    def search(cls, group, d0):
+        try:
+            return even_orbit_search(group, d0, cap=cls.CAP)
+        except EnumerationCapError:
+            return "over the cap"
+
+    def check(self, g):
+        for v in range(g.vertex_count):
+            aut = automorphism_group(g, v)
+            group = explicit_group(aut)
+            stabilizer = explicit_root_stabilizer(aut)
+            dart_orbits = group.orbits()
+            vertex_orbits = sorted(
+                {tuple(sorted({g.vertex_of(d) for d in o})) for o in dart_orbits}
+            )
+            assert aut.vertex_orbits() == vertex_orbits
+            assert aut.edge_orbits() == sorted(
+                {tuple(sorted({d >> 1 for d in o})) for o in dart_orbits}
+            )
+            assert aut.is_vertex_transitive() == (len(vertex_orbits) == 1)
+            assert aut.root_orbit == len(next(o for o in vertex_orbits if v in o))
+            assert aut.generator_count == len(group.generators)
+            assert aut.group.generators == group.generators
+            assert aut.root_stabilizer == stabilizer.generators
+            for d in range(g.dart_count):
+                assert aut.orbit(d) == group.orbit(d)
+            at_v = g.darts_at(v)
+            branches = PermGroup(g.dart_count, aut.branch_generators())
+            orbits = stabilizer.orbits(points=at_v)
+            assert branches.orbits(points=at_v) == orbits
+            searches = [self.search(stabilizer, o[0]) for o in orbits]
+            assert [self.search(branches, o[0]) for o in orbits] == searches
+            if not g.is_stable():
+                continue
+            for e in {d >> 1 for d in at_v}:
+                cd = stabilizer_tower(aut, v, e)
+                assert cd.walk == tuple(group.orbit(cd.base_dart))
+            if g.all_degrees_even() and "over the cap" not in searches:
+                verdict = certify_nonsplit(g, base_vertex=v, cap=self.CAP)
+                assert [r.dart_orbit for r in verdict.per_orbit] == orbits
+                assert [r.certificate for r in verdict.per_orbit] == searches
+
+    def test_families_and_named_graphs(self):
+        graphs = [circulant_graph(g) for g in range(7, 13)] + [complete_graph(5)]
+        graphs += [doubled_cycle(g) for g in range(4, 11)] + [theta_loops()]
+        graphs += [complete_bipartite(4, 4), petersen_graph(), rigid_fixture()]
+        graphs += [prism_graph(n) for n in range(3, 8)]
+        for g in graphs:
+            self.check(g)
+
+    def test_random_multigraphs(self):
+        rng = random.Random(18)
+        graphs = [
+            random_connected_multigraph(rng, rng.randint(1, 6), rng.randint(1, 8))
+            for _ in range(200)
+        ]
+        assert sum(any(g.is_loop(k) for k in range(g.edge_count)) for g in graphs) > 50
+        assert sum(
+            any(len(ids) > 1 for ids in g.parallel_classes().values()) for g in graphs
+        ) > 50
+        assert sum(g.is_stable() and g.all_degrees_even() for g in graphs) > 10
+        for g in graphs:
+            self.check(g)
 
 
 class TestRoundtrip:

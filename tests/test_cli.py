@@ -29,6 +29,24 @@ from degenera.graphs import (
 )
 
 
+@pytest.fixture(autouse=True)
+def reports_written(monkeypatch):
+    """Every structured report a test here writes is checked byte for byte
+    against json.dumps(report, indent=2, sort_keys=True) and kept."""
+    write = cli._json_text
+    written = []
+
+    def checked(value, *indent):
+        text = write(value, *indent)
+        if not indent:
+            assert text == json.dumps(value, indent=2, sort_keys=True)
+            written.append(value)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
+    return written
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -729,6 +747,40 @@ class TestClosedOutput:
         assert err.count("\n") == 1
 
 
+class TestReportWriter:
+    def test_file_label_with_escaped_characters(self, capsys, tmp_path, reports_written):
+        path = tmp_path / 'gr\u00e4ph \u2603 "q" \\ \t\x01\x1f.graph'
+        path.write_text(complete_graph(5).to_text())
+        for argv in (["graph", "analyze", str(path)], ["certify", "--file", str(path)],
+                     ["clutch", "roundtrip", "--file", str(path)]):
+            code, report = structured(capsys, *argv)
+            assert code == 0
+            assert report["input"]["source"] == "file " + str(path)
+        assert len(reports_written) == 3
+
+    def test_census_frequencies_and_timing(self, capsys, reports_written):
+        code, report = structured(
+            capsys, "frobenius", "census", "x^4-x-1", "--bound", "300"
+        )
+        assert code == 0
+        rows = report["result"]["patterns"]
+        assert rows and all(isinstance(row["frequency"], float) for row in rows)
+        assert isinstance(report["timing_ms"], float)
+        assert len(reports_written) == 1
+
+    def test_crafted_values(self):
+        values = [
+            None, True, False, 0, -7, 10**40, 0.1 + 0.2, -0.0, 1e-7, 1e22, 12.345,
+            float("nan"), float("inf"), "", "\u00e9\x00\x1f\"\\/\u2603\U0001f600",
+            [], {}, [[]], [{}], [[1, [2, []]], {"a": []}], (1, 2), [True, None, 1.5],
+            {"b": {"d": None, "c": [1, 2]}, "a": [], "timing_ms": 3.25, "x": {}},
+        ]
+        for value in values:
+            assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._json_text({"a": object()})
+
+
 class TestEnumerationCap:
     def test_cap_env_blocks_large_groups(self, capsys, monkeypatch):
         monkeypatch.setenv("DEGENERA_CAP", "10")
@@ -833,6 +885,44 @@ class TestScale:
         assert report["result"]["aut_order"] == 2 * 159 * 2**159
         assert report["result"]["admissible"] is True
         assert elapsed < 1.0
+
+    def test_no_kernel_perm_away_from_the_base_vertex(self, capsys, monkeypatch):
+        # certify, roundtrip and analyze on the double cycle of genus 1000
+        # build no dart permutation for a swap or flip of a class away from
+        # base vertex 0: every one they build moves a dart there
+        from degenera.perms import Perm
+
+        g = doubled_cycle(1000)
+        at_base = set(g.darts_at(0))
+        built = []
+        init, unchecked = Perm.__init__, Perm._unchecked.__func__
+
+        def counting_init(self, images):
+            init(self, images)
+            built.append(self.images)
+
+        def counting_unchecked(cls, images):
+            built.append(images)
+            return unchecked(cls, images)
+
+        monkeypatch.setattr(Perm, "__init__", counting_init)
+        monkeypatch.setattr(Perm, "_unchecked", classmethod(counting_unchecked))
+        source = ("--family", "double-cycle", "--genus", "1000")
+        for argv in (["certify"], ["clutch", "roundtrip"], ["graph", "analyze"]):
+            assert run_cli(capsys, *argv, *source)[0] == 0
+        darts = [p for p in built if len(p) == g.dart_count]
+        assert 0 < len(darts) < 50
+        for images in darts:
+            moved = {d for d, x in enumerate(images) if d != x}
+            assert not moved or moved & at_base
+
+    def test_genus_4096_within_seconds(self, capsys):
+        # with every kernel generator explicit these took 12-27 s and 540 MiB each
+        source = ("--family", "double-cycle", "--genus", "4096")
+        for argv in (["certify"], ["graph", "analyze"], ["clutch", "roundtrip"]):
+            started = time.perf_counter()
+            assert run_cli(capsys, *argv, *source)[0] == 0
+            assert time.perf_counter() - started < 5.0
 
     def test_python_m_degenera(self):
         env = subprocess_env()
