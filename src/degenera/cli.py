@@ -493,10 +493,7 @@ def _json_text(value, indent="\n"):
         ]
     elif isinstance(value, (list, tuple)):
         brackets = "[]"
-        if all(type(item) is int for item in value):
-            items = map(int.__repr__, value)
-        else:
-            items = [_json_text(item, inner) for item in value]
+        items = [_json_text(item, inner) for item in value]
     else:
         return json.dumps(value)
     if not value:

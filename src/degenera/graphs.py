@@ -514,9 +514,9 @@ class GraphAut:
     parallel classes (S_m on each class of m edges, C_2 wr S_k on each
     class of k loops), extended by lifts, the canonical dart lifts of the
     vertex generators.  order is |Aut| from the generator search, rooted
-    at root, whose orbit has root_orbit vertices.  group and
-    root_stabilizer, with every kernel generator a dart permutation, are
-    built when first read; no command reads them.
+    at root, whose orbit has root_orbit vertices.  group, with every
+    kernel generator a dart permutation, is built when first read; no
+    command reads it.
     """
 
     def __init__(self, graph, classes, order, vertex_gens, lifts, root, root_orbit):
@@ -542,28 +542,19 @@ class GraphAut:
             raise ValueError(_DARTLESS)
         return Perm(images)
 
-    def _fixing_root(self, classes):
-        root = self.root
-        fixing = [p for p, s in zip(self.lifts, self.vertex_gens) if s[root] == root]
-        return _dart_generators(self.graph, classes, fixing)
-
     @cached_property
     def group(self):
         generators = _dart_generators(self.graph, self.classes, self.lifts)
         return PermGroup(self.graph.dart_count, generators)
 
-    @cached_property
-    def root_stabilizer(self):
-        """Generators of the stabilizer of root."""
-        return tuple(self._fixing_root(self.classes))
-
     def branch_generators(self):
-        """Those of root_stabilizer that can move a dart at root, in its
-        order: the swaps and flips of the classes at root, then the lifts
-        fixing root.  On the darts at root they generate the same image."""
+        """The swaps and flips of the classes at root, then the lifts fixing
+        root.  With the other classes' swaps and flips they generate the
+        stabilizer of root; on the darts at root these alone give its image."""
         root = self.root
         at_root = {key: ids for key, ids in self.classes.items() if root in key}
-        return self._fixing_root(at_root)
+        fixing = [p for p, s in zip(self.lifts, self.vertex_gens) if s[root] == root]
+        return _dart_generators(self.graph, at_root, fixing)
 
     @property
     def generator_count(self):
@@ -605,11 +596,14 @@ class GraphAut:
                     walk.append(y)
         return walk
 
+    def _require_darts(self):
+        if 0 in self.graph.degrees():
+            raise ValueError(_DARTLESS)
+
     def _orbits(self, count, maps):
         """Orbits of 0..count-1 under the maps (image sequences), each
         sorted, by least point."""
-        if 0 in self.graph.degrees():
-            raise ValueError(_DARTLESS)
+        self._require_darts()
         placed = [False] * count
         orbits = []
         for x in range(count):
@@ -638,6 +632,7 @@ class GraphAut:
         return self._orbits(self.graph.edge_count, maps + [cycle])
 
     def is_vertex_transitive(self):
+        self._require_darts()
         return self.root_orbit == self.graph.vertex_count
 
 

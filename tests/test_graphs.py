@@ -20,7 +20,6 @@ from degenera.graphs import (
     is_isomorphic,
     theta_loops,
 )
-from degenera.perms import PermGroup
 from helpers import (
     admissible_by_chain,
     base_orbit_bound,
@@ -29,6 +28,7 @@ from helpers import (
     dart_group_order,
     edge_stabilizer,
     exhaustive_dart_automorphisms,
+    explicit_root_stabilizer,
     networkx_vertex_automorphisms,
     petersen_graph,
     prism_graph,
@@ -237,6 +237,8 @@ class TestAutomorphisms:
             aut.vertex_orbits()
         with pytest.raises(ValueError, match="no dart"):
             aut.edge_orbits()
+        with pytest.raises(ValueError, match="no dart"):
+            aut.is_vertex_transitive()
 
     def test_simple_graph_dart_group_equals_vertex_group(self):
         # a simple graph's dart action is determined by the vertex action
@@ -477,11 +479,11 @@ class TestRootStabilizer:
         for v in range(graph.vertex_count):
             aut = automorphism_group(graph, v)
             at_v = graph.darts_at(v)
-            for p in aut.root_stabilizer:
+            g2 = explicit_root_stabilizer(aut)
+            for p in g2.generators:
                 assert {p.images[d] for d in at_v} == set(at_v)
             orbit = next(o for o in aut.vertex_orbits() if v in o)
             assert aut.root_orbit == len(orbit)
-            g2 = PermGroup(graph.dart_count, aut.root_stabilizer)
             assert g2.order() == aut.order // len(orbit)
             chain_g2 = vertex_stabilizer(aut, v)
             assert g2.orbits(points=at_v) == chain_g2.orbits(points=at_v)
