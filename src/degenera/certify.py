@@ -123,10 +123,10 @@ def gamma_dagger(cd):
     The coset gH is the image under g of the point H fixes, so the darts are
     the stored walk of d0, each at the vertex and on the edge of its dart.
 
-    Each edge coset contains exactly two dart cosets, which the involution
-    pairs.  The output may be disconnected (the orbit of the base edge need
-    not span a connected subgraph), so it is built without the
-    connectivity requirement.
+    Each edge coset contains exactly two dart cosets, the ends of its edge.
+    The output may be disconnected (the orbit of the base edge need not
+    span a connected subgraph), so it is built without the connectivity
+    requirement.
     """
     vertex_index = {}
     dart_vertex = [
@@ -142,10 +142,8 @@ def gamma_dagger(cd):
             "over the dart stabilizer, expected 2"
             % (cd.base_edge, len(cd.walk) // len(by_edge))
         )
-    involution = [None] * len(dart_vertex)
-    for a, b in by_edge.values():
-        involution[a], involution[b] = b, a
-    return DartGraph.from_darts(dart_vertex, involution, require_connected=False)
+    edges = [(dart_vertex[a], dart_vertex[b]) for a, b in by_edge.values()]
+    return DartGraph(len(vertex_index), edges, require_connected=False)
 
 
 def orbit_subgraph(graph, edge_ids):

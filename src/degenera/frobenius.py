@@ -16,17 +16,15 @@ with no loop over coefficients.  x^p comes from a square-and-multiply
 ladder.  Primes are kept below 2^31, which bounds the slot width (see
 `_PackedRing`).
 
-For p > deg f the per-prime loop reads each distinct-degree count off a
-trace (`_pattern_by_traces`): the trace of the d-th Frobenius power on
-GF(p)[x]/(f mod p) counts the roots of f in GF(p^d), which is exact mod p
-because it is at most deg f.  Its matrix has the powers of x^(p^d) as
-columns, and x^(p^(d+1)) is a linear combination of those columns, so the
-loop makes no gcd and no composition.  For p <= deg f the count mod p is
-ambiguous, and the loop keeps the distinct-degree splitting
-(`_pattern_of_squarefree`): x^(p^(d+1)) from x^(p^d) by Horner
-composition with x^p, and gcds and exact divisions on coefficient lists
-through one remainder by a monic polynomial.  `degree_pattern` always
-splits by gcds, so it re-checks the trace path with another algorithm.
+One distinct-degree loop serves every prime (`_pattern_of_squarefree`).
+At degree d it makes the powers of h = x^(p^d) mod f, the columns of the
+matrix of the d-th Frobenius power on GF(p)[x]/(f mod p), and counts the
+roots of f in GF(p^d); the factor counts per degree follow by
+inclusion-exclusion, and x^(p^(d+1)) is one linear combination of those
+powers.  The roots are counted by the trace of that matrix for p > deg f,
+where the count mod p is exact because it is at most deg f, and by
+deg gcd(h - x, f mod p) otherwise.  `degree_pattern` always counts by
+gcds, so it re-checks the trace count with another counting step.
 
 The census, the witness search and the galois search share one per-prime
 function: the sieve and disc(f) are computed once, and the primes dividing
@@ -362,17 +360,16 @@ class _PackedRing:
     fbar is exactly q = floor(hi*mu / x^(n-2)) over GF(p), and the
     remainder is lo + lo(q*g), where g = x^n - fbar has degree < n.
 
-    Largest slot value before each Barrett step of `mul(a, b)`, where a's
-    slots are at most 3p-1 (a Horner accumulator: 2p-1 from `mul` plus a
-    coefficient below p) and b's at most 2p-1; mu and g have slots below p:
-      a*b            n*(3p-1)*(2p-1)      (n terms in the middle slot)
+    Largest slot value before each Barrett step of `mul(a, b)`, where the
+    slots of a and b are at most 2p-1 and those of mu and g below p:
+      a*b            n*(2p-1)^2           (n terms in the middle slot)
       hi*mu          (n-1)*(2p-1)*(p-1)
       lo + lo(q*g)   (2p-1) + (n-1)*(2p-1)*(p-1)
     in `mulx`, (2p-1) + (2p-1)*(p-1), and in `combine`, a sum of n
     products of a coefficient below p with a slot at most 2p-1, so at most
     n*(p-1)*(2p-1).  The first, `top`, is the largest, so s = bit length of
     top gives every slot x < 2^s, and k = bit length of top*m gives
-    x*m < 2^k.  For n = 16 and p = 2^31 - 1, s = 69 and k = 107.
+    x*m < 2^k.  For n = 16 and p = 2^31 - 1, s = 68 and k = 105.
     """
 
     __slots__ = (
@@ -381,7 +378,7 @@ class _PackedRing:
 
     def __init__(self, fbar, p):
         n = len(fbar) - 1
-        top = n * (3 * p - 1) * (2 * p - 1)
+        top = n * (2 * p - 1) ** 2
         self.p, self.n = p, n
         self.s = top.bit_length()
         self.m = (1 << self.s) // p
@@ -410,7 +407,7 @@ class _PackedRing:
         return out
 
     def mul(self, a, b):
-        """a*b mod fbar; a's slots at most 3p-1, b's at most 2p-1."""
+        """a*b mod fbar; the slots of a and b at most 2p-1."""
         p, s, m, qmask, lomask = self.p, self.s, self.m, self.qmask, self.lomask
         c = a * b
         c -= (c * m >> s & qmask) * p
@@ -434,13 +431,6 @@ class _PackedRing:
                 h = self.mulx(h)
         return h
 
-    def compose(self, outer, inner):
-        """outer(inner) by Horner; outer is a nonempty list in [0, p)."""
-        acc = outer[-1]
-        for c in outer[-2::-1]:
-            acc = self.mul(acc, inner) + c
-        return acc
-
     def powers(self, h):
         """[h^0, h^1, ..., h^(n-1)] by n - 2 products; h's slots at most 2p-1."""
         out = [1, h]
@@ -463,57 +453,33 @@ class _PackedRing:
         return r - (r * m >> s & self.qmask) * p
 
 
-def _pattern_of_squarefree(fbar, p):
-    """Distinct-degree splitting of a monic squarefree fbar in GF(p)[x].
-
-    x^p mod fbar comes from one square-and-multiply ladder; the higher
-    powers x^(p^d) come from composing x^(p^(d-1)) with x^p, since
-    substitution into a polynomial over GF(p) commutes with the Frobenius
-    power map.  Both stay modulo the original fbar: the gcd with the
-    shrinking factor `current` is the same either way.  Once the factor
-    left over has degree below 2d it is irreducible, so the last quotient
-    is never formed, only its degree.
-    """
-    n = len(fbar) - 1
-    if n <= 1:
-        return (1,) * n
-    ring = _PackedRing(fbar, p)
-    degrees = []
-    current = fbar
-    frob = ring.xpow()
-    power = frob
-    d = 1
-    while True:
-        coeffs = ring.unpack(power)
-        minus_x = coeffs + [0] * (2 - len(coeffs))
-        minus_x[1] = (minus_x[1] - 1) % p
-        part = _gcd_mod(minus_x, current, p)
-        rest = len(current) - len(part)  # degree of current / part
-        if len(part) > 1:
-            degrees.extend([d] * ((len(part) - 1) // d))
-        d += 1
-        if 2 * d > rest:
-            break
-        if len(part) > 1:
-            current = _divexact_mod(current, part, p)
-        power = ring.compose(coeffs, frob)
-    if rest:
-        degrees.append(rest)
-    return tuple(sorted(degrees, reverse=True))
+def _roots_by_trace(ring, fbar, powers):
+    """Roots of fbar in GF(p^d) as the trace of x^j -> h^j, mod p; exact
+    only for p > deg fbar."""
+    return ring.trace(powers)
 
 
-def _pattern_by_traces(fbar, p):
-    """Degree pattern of a monic squarefree fbar of degree n < p, no gcds.
+def _roots_by_gcd(ring, fbar, powers):
+    """Roots of fbar in GF(p^d) as deg gcd(h - x, fbar); exact for every p."""
+    p = ring.p
+    coeffs = ring.unpack(powers[1])
+    minus_x = coeffs + [0] * (2 - len(coeffs))
+    minus_x[1] = (minus_x[1] - 1) % p
+    return len(_gcd_mod(minus_x, fbar, p)) - 1
+
+
+def _pattern_of_squarefree(fbar, p, roots):
+    """Degree pattern of a monic squarefree fbar in GF(p)[x].
 
     Frobenius s acts on A = GF(p)[x]/(fbar) with s^d(x^j) = h^j, where
-    h = x^(p^d) mod fbar.  Its trace N_d = sum of slot j of h^j counts the
-    roots of fbar in GF(p^d), which is the sum of e*r_e over e | d when fbar
-    has r_e irreducible factors of degree e; N_d <= n < p, so N_d mod p is
-    exact and r_d follows from the r_e with e < d.  The next power is
-    x^(p^(d+1)) = s^d(x^p) = sum of c_j*h^j over the coefficients c_j of
-    x^p, one linear combination of the powers already made.  As in
-    `_pattern_of_squarefree`, the degree left once it is below 2(d+1) is a
-    single irreducible factor.
+    h = x^(p^d) mod fbar.  roots(ring, fbar, powers) counts the roots N_d
+    of fbar in GF(p^d) from the powers [h^0, ..., h^(n-1)]; N_d is the sum
+    of e*r_e over e | d when fbar has r_e irreducible factors of degree e,
+    so r_d follows from the r_e with e < d.  x^p comes from one
+    square-and-multiply ladder, and x^(p^(d+1)) = s^d(x^p) is the sum of
+    c_j*h^j over the coefficients c_j of x^p, one linear combination of the
+    powers already made.  Once the degree left is below 2(d+1) it is a
+    single irreducible factor, so its count is never taken.
     """
     n = len(fbar) - 1
     if n <= 1:
@@ -527,11 +493,11 @@ def _pattern_by_traces(fbar, p):
     d = 1
     while True:
         powers = ring.powers(power)
-        roots = ring.trace(powers) - sum(e * r for e, r in found if d % e == 0)
-        assert 0 <= roots <= rest and roots % d == 0, (p, d, roots)
-        if roots:
-            found.append((d, roots // d))
-            rest -= roots
+        count = roots(ring, fbar, powers) - sum(e * r for e, r in found if d % e == 0)
+        assert 0 <= count <= rest and count % d == 0, (p, d, count)
+        if count:
+            found.append((d, count // d))
+            rest -= count
         d += 1
         if 2 * d > rest:
             break
@@ -558,7 +524,7 @@ def degree_pattern(f, p):
     fprime = [c % p for c in f.derivative_coeffs()]
     if len(_gcd_mod(fbar, fprime, p)) > 1:
         return None
-    return _pattern_of_squarefree(fbar, p)
+    return _pattern_of_squarefree(fbar, p, _roots_by_gcd)
 
 
 @dataclass(frozen=True)
@@ -611,8 +577,8 @@ def _prime_loop(f, bound):
     discriminant, so they are split off by divisibility and the per-prime
     work stays on the squarefree path.  Primes dividing the leading
     coefficient of a non-monic f also count as ramified, since the pattern
-    is undefined for them.  Primes above deg f take the trace count, the
-    others the gcd splitting.
+    is undefined for them.  Primes above deg f count roots by the trace,
+    the others by the gcd.
     """
     plist = primes_upto(bound)
     disc = discriminant(f)
@@ -624,9 +590,8 @@ def _prime_loop(f, bound):
     def pattern(p):
         if disc_lead % p == 0:
             return None
-        if p > n:
-            return _pattern_by_traces(_monic_mod(f.coeffs, p), p)
-        return _pattern_of_squarefree(_monic_mod(f.coeffs, p), p)
+        roots = _roots_by_trace if p > n else _roots_by_gcd
+        return _pattern_of_squarefree(_monic_mod(f.coeffs, p), p, roots)
 
     return plist, pattern
 

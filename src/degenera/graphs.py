@@ -40,7 +40,7 @@ class DartGraph:
     as single-orbit subgraphs, which may fall apart into components.
     """
 
-    __slots__ = ("vertex_count", "edges", "connected", "_dart_vertex", "_degrees")
+    __slots__ = ("vertex_count", "edges", "_dart_vertex", "_degrees")
 
     def __init__(self, vertex_count, edges, require_connected=True):
         if vertex_count < 1:
@@ -64,8 +64,7 @@ class DartGraph:
         for d in dart_vertex:
             degrees[d] += 1
         self._degrees = tuple(degrees)
-        self.connected = self._check_connected()
-        if require_connected and not self.connected:
+        if require_connected and not self._check_connected():
             raise ValueError("graph is not connected")
 
     def _check_connected(self):
@@ -504,9 +503,6 @@ def _dart_generators(graph, classes, lifts):
     return [Perm._unchecked(tuple(p)) for p in gens + list(lifts)]
 
 
-_DARTLESS = "a vertex with no dart has no image under a dart permutation"
-
-
 class GraphAut:
     """Automorphism group of a graph in its faithful action on darts.
 
@@ -517,6 +513,11 @@ class GraphAut:
     at root, whose orbit has root_orbit vertices.  group, with every
     kernel generator a dart permutation, is built when first read; no
     command reads it.
+
+    Orbits and vertex-transitivity come from the vertex generators, so
+    they are defined also when a vertex has no dart, which only a
+    disconnected graph or the one-vertex graph without edges has; only
+    vertex_perm refuses such a graph, as the vertex has no image there.
     """
 
     def __init__(self, graph, classes, order, vertex_gens, lifts, root, root_orbit):
@@ -539,7 +540,9 @@ class GraphAut:
             elif images[v] != w:
                 raise ValueError("dart permutation does not cover a vertex map")
         if None in images:
-            raise ValueError(_DARTLESS)
+            raise ValueError(
+                "a vertex with no dart has no image under a dart permutation"
+            )
         return Perm(images)
 
     @cached_property
@@ -596,14 +599,9 @@ class GraphAut:
                     walk.append(y)
         return walk
 
-    def _require_darts(self):
-        if 0 in self.graph.degrees():
-            raise ValueError(_DARTLESS)
-
     def _orbits(self, count, maps):
         """Orbits of 0..count-1 under the maps (image sequences), each
         sorted, by least point."""
-        self._require_darts()
         placed = [False] * count
         orbits = []
         for x in range(count):
@@ -632,7 +630,6 @@ class GraphAut:
         return self._orbits(self.graph.edge_count, maps + [cycle])
 
     def is_vertex_transitive(self):
-        self._require_darts()
         return self.root_orbit == self.graph.vertex_count
 
 

@@ -139,9 +139,6 @@ class Perm:
     def __hash__(self):
         return hash(self.images)
 
-    def __lt__(self, other):
-        return self.images < other.images
-
     def __repr__(self):
         return "Perm(%r)" % list(self.images)
 

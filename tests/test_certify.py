@@ -172,7 +172,8 @@ class TestGammaDagger:
     def test_theta_loop_orbit_is_disconnected(self):
         cd = stabilizer_tower(automorphism_group(theta_loops()), 0, 2)
         rebuilt = gamma_dagger(cd)
-        assert not rebuilt.connected
+        with pytest.raises(ValueError, match="graph is not connected"):
+            DartGraph(rebuilt.vertex_count, rebuilt.edges)
         assert rebuilt.vertex_count == 2 and rebuilt.edge_count == 2
         assert all(rebuilt.is_loop(k) for k in range(2))
 

@@ -377,6 +377,20 @@ class TestAnalyze:
         assert "stable: no" in out
         assert "admissible: n/a (unstable)" in out
 
+    def test_single_vertex_without_edges(self, capsys, tmp_path):
+        # its vertex has no dart; orbits come from the vertex generators
+        path = tmp_path / "point.graph"
+        path.write_text("vertices 1\n")
+        code, report = structured(capsys, "graph", "analyze", str(path))
+        assert code == 0
+        result = report["result"]
+        assert (result["genus"], result["aut_order"]) == (0, 1)
+        assert result["edge_orbits"] == []
+        assert result["vertex_transitive"] is True
+        code, out, err = run_cli(capsys, "graph", "analyze", str(path))
+        assert (code, err) == (0, "")
+        assert "genus: 0\n" in out and "edge orbits: 0 (sizes )\n" in out
+
     def test_base_vertex_is_not_an_option(self, capsys):
         # analyze reports the whole graph, so it has no base vertex to take
         code, out, err = run_cli(
@@ -979,10 +993,10 @@ class TestShardedPrimeLoop:
         parent = os.getpid()
         real = frobenius._pattern_of_squarefree
 
-        def failing_in_children(fbar, p):
+        def failing_in_children(fbar, p, roots):
             if os.getpid() != parent:
                 failure()
-            return real(fbar, p)
+            return real(fbar, p, roots)
 
         monkeypatch.setattr(frobenius, "_pattern_of_squarefree", failing_in_children)
         code, out, err = run_cli(
@@ -1020,7 +1034,7 @@ class TestShardedPrimeLoop:
         # a child that would run for a minute is killed, not waited for
         parent = os.getpid()
 
-        def slow_children(fbar, p):
+        def slow_children(fbar, p, roots):
             if os.getpid() != parent:
                 time.sleep(60)
             raise MemoryError()

@@ -24,8 +24,10 @@ from degenera.frobenius import (
     DEGREE_LIMIT,
     _PackedRing,
     _gcd_mod,
-    _pattern_by_traces,
+    _pattern_of_squarefree,
     _rem_mod,
+    _roots_by_gcd,
+    _roots_by_trace,
 )
 from degenera.perms import CosetAction, Perm, group_from_generators
 from helpers import (
@@ -443,9 +445,8 @@ class TestPackedRing:
                     ring = _PackedRing(fbar, p)
                     rand = [rng.randrange(2 * p) for _ in range(n)]
                     cases = [
-                        ([3 * p - 1] * n, [2 * p - 1] * n),
                         ([2 * p - 1] * n, [2 * p - 1] * n),
-                        ([3 * p - 1] + rand[1:], rand),
+                        ([2 * p - 1] + rand[1:], rand),
                     ]
                     for a, b in cases:
                         got = slots_of(ring, ring.mul(ring.pack(a), ring.pack(b)))
@@ -456,7 +457,7 @@ class TestPackedRing:
                         expect = _rem_mod([0] + reduced(a, p), fbar, p)
                         assert reduced(got, p) == expect, (p, n, a)
 
-    def test_ladder_and_composition(self):
+    def test_ladder(self):
         rng = random.Random(34)
         for p in (2, 3, 65521, LARGEST_PRIME):
             for n in range(2, 17):
@@ -469,13 +470,6 @@ class TestPackedRing:
                         if bit == "1":
                             h = _rem_mod([0] + h, fbar, p)
                     assert reduced(slots_of(ring, frob), p) == h
-                    outer = [p - 1] * n
-                    expect = [p - 1]
-                    for c in outer[-2::-1]:
-                        expect = schoolbook_mulmod(expect, h, fbar, p)
-                        expect = reduced([expect[0] + c if expect else c] + expect[1:], p)
-                    got = ring.compose(outer, frob)
-                    assert ring.unpack(got) == expect, (p, n)
 
 
     def test_trace_and_combination_at_slot_bounds(self):
@@ -524,10 +518,11 @@ class TestTopOfPrimeRange:
             assert degree_pattern(f, p) == sympy_degree_pattern(f.coeffs, p), p
 
 
-def trace_pattern(f, p):
-    """_pattern_by_traces on f mod p, which must be unramified and p > deg f."""
+def trace_pattern(f, p, roots=_roots_by_trace):
+    """The distinct-degree loop on f mod p counting roots by the trace;
+    f mod p must be unramified and p > deg f."""
     assert p > f.degree and discriminant(f) % p and f.leading % p
-    return _pattern_by_traces(frobenius._monic_mod(f.coeffs, p), p)
+    return _pattern_of_squarefree(frobenius._monic_mod(f.coeffs, p), p, roots)
 
 
 class TestTracePath:
@@ -565,17 +560,20 @@ class TestTracePath:
             for r in roots:
                 coeffs = [(a - r * b) for a, b in zip([0] + coeffs, coeffs + [0])]
             fully_split = IntPoly(coeffs)
-            assert trace_pattern(fully_split, p) == (1,) * degree
+            for roots in (_roots_by_trace, _roots_by_gcd):
+                assert trace_pattern(fully_split, p, roots) == (1,) * degree
             found = 0
             while found < 6:
                 f = IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [1])
                 if discriminant(f) % p == 0:
                     continue
-                assert trace_pattern(f, p) == sympy_degree_pattern(f.coeffs, p), (f, p)
+                expect = sympy_degree_pattern(f.coeffs, p)
+                for roots in (_roots_by_trace, _roots_by_gcd):
+                    assert trace_pattern(f, p, roots) == expect, (f, p, roots)
                 found += 1
 
     def test_census_across_the_degree_matches_per_prime_scan(self):
-        # primes 2..11 take the gcd splitting, 13..59 the traces
+        # primes 2..11 count roots by gcds, 13..59 by traces
         for text in ("x^12-x-1", "x^6+x+1", "3x^5-2x+7"):
             f = parse_poly(text)
             counts, ramified, _ = per_prime_scan(f, 60)
@@ -583,27 +581,26 @@ class TestTracePath:
             assert result.counts == counts
             assert result.ramified == ramified
 
-    def test_no_gcd_or_composition_above_degree(self, monkeypatch):
+    def test_gcd_only_at_or_below_degree(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         calls = []
 
         def spy(name, fn):
             def wrapped(*args):
-                calls.append((name, args[-1] if name != "compose" else args[0].p))
+                calls.append((name, args[-1]))
                 return fn(*args)
 
             return wrapped
 
         for name in ("_gcd_mod", "_divexact_mod"):
             monkeypatch.setattr(frobenius, name, spy(name, getattr(frobenius, name)))
-        monkeypatch.setattr(_PackedRing, "compose", spy("compose", _PackedRing.compose))
         f = parse_poly("x^12-x-1")
         result = census(f, 400)
         n = f.degree
         late = [(name, p) for name, p in calls if p > n]
         # one division per prime above n, for the ring's mu
         assert sorted(late) == [("_divexact_mod", p) for p in primes_upto(400) if p > n]
-        assert {name for name, p in calls if p <= n} >= {"_gcd_mod", "compose"}
+        assert "_gcd_mod" in {name for name, p in calls if p <= n}
         assert sum(result.counts.values()) == len(primes_upto(400)) - len(result.ramified)
 
 
