@@ -34,8 +34,9 @@ so `taskset` limits them): forked children each take an interleaved share
 and send back only a pattern tally, which merges into exactly what one
 scan would give.  The witness search stays a lazy scan that stops at the
 second all-even prime.  `degree_pattern` stays a separate single-prime path
-with its own primality and gcd(f, f') tests, so certificates and the test
-oracles check the loop independently.  `parse_poly` refuses a degree above
+with its own primality and gcd(f, f') tests and the gcd count, so
+certificates and the test oracles re-check both the ramified primes and
+the trace count of the loop.  `parse_poly` refuses a degree above
 DEGREE_LIMIT before it builds a coefficient list.
 """
 

@@ -560,16 +560,16 @@ class TestTracePath:
             for r in roots:
                 coeffs = [(a - r * b) for a, b in zip([0] + coeffs, coeffs + [0])]
             fully_split = IntPoly(coeffs)
-            for roots in (_roots_by_trace, _roots_by_gcd):
-                assert trace_pattern(fully_split, p, roots) == (1,) * degree
+            for counter in (_roots_by_trace, _roots_by_gcd):
+                assert trace_pattern(fully_split, p, counter) == (1,) * degree
             found = 0
             while found < 6:
                 f = IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [1])
                 if discriminant(f) % p == 0:
                     continue
                 expect = sympy_degree_pattern(f.coeffs, p)
-                for roots in (_roots_by_trace, _roots_by_gcd):
-                    assert trace_pattern(f, p, roots) == expect, (f, p, roots)
+                for counter in (_roots_by_trace, _roots_by_gcd):
+                    assert trace_pattern(f, p, counter) == expect, (f, p, counter)
                 found += 1
 
     def test_census_across_the_degree_matches_per_prime_scan(self):
