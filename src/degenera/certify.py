@@ -10,25 +10,26 @@ orbit of d0 also lists the orbits of v0 and e0, and gives every order in
 the tower by orbit-stabilizer, |Stab(x)| = |G1| / |G1·x|, with no chain.
 
 Reconstruction rebuilds a graph from cosets alone (vertices G1/G2, edges
-G1/G4, darts G1/G3), read as the orbits of the base points, and checks it
-against the original edge orbit.  The certificate search looks for an
-element of G2 whose cyclic orbits on G2/G3 all have even size; such an
-element witnesses nonzero 2-torsion in the relative Brauer group of the
-corresponding global field extension, hence a conic with no rational point.
-Since G3 fixes the dart d0, G2/G3 is the dart orbit Ω = G2·d0, and the
-search reads those orbit sizes as cycle lengths on the darts of Ω.  |G1|
-comes from the generator search, rooted at v0 for certification, so the
-generators it found that fix v0, with the parallel swaps and loop flips,
-generate G2 and |G2| = |G1| / |orbit of v0|.  Only the swaps and flips of
-the classes at v0 move a dart there, so the search runs on them and those
-lifts, which give G2's image on Ω (at most m! elements), and the walk of
-d0 applies the kernel implicitly.  Each entry point builds Aut once and
-passes it down, and no stabilizer chain is built on the darts.
+G1/G4, darts G1/G3), read as the orbits of the base points; the walk maps
+it onto the original edge orbit, and that map is checked, not searched for.
+The certificate search looks for an element of G2 whose cyclic orbits on
+G2/G3 all have even size; such an element witnesses nonzero 2-torsion in
+the relative Brauer group of the corresponding global field extension,
+hence a conic with no rational point.  Since G3 fixes the dart d0, G2/G3 is
+the dart orbit Ω = G2·d0, and the search reads those orbit sizes as cycle
+lengths on the darts of Ω.  |G1| comes from the generator search, rooted at
+v0 for certification, so the generators it found that fix v0, with the
+kernel, generate G2 and |G2| = |G1| / |orbit of v0|.  The search runs on
+those lifts and the kernel generators that move a dart at v0, which give
+G2's image on Ω (at most m! elements), and the walk of d0 applies the
+kernel implicitly.  Each entry point builds Aut once and passes it down,
+and no stabilizer chain is built on the darts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .perms import (
@@ -37,7 +38,7 @@ from .perms import (
     PermGroup,
     even_orbit_search,
 )
-from .graphs import DartGraph, automorphism_group
+from .graphs import DartGraph, automorphism_group, check_dart_isomorphism
 
 CERTIFIED_NONSPLIT = "CERTIFIED_NONSPLIT"
 NOT_CERTIFIED = "NOT_CERTIFIED"
@@ -77,6 +78,15 @@ class ClutchingData:
     def orders(self):
         g1, edges = self.g1_order, len({d >> 1 for d in self.walk})
         return (g1, g1 // self.n, g1 // len(self.walk), g1 // edges)
+
+    @cached_property
+    def edge_darts(self):
+        """The walk's darts grouped by edge, edges and darts in walk order;
+        edge j of gamma_dagger joins the vertices of list j."""
+        by_edge = {}
+        for d in self.walk:
+            by_edge.setdefault(d >> 1, []).append(d)
+        return list(by_edge.values())
 
 
 _UNSTABLE = "stabilizer tower needs a stable graph (all degrees >= 3)"
@@ -128,21 +138,20 @@ def gamma_dagger(cd):
     span a connected subgraph), so it is built without the connectivity
     requirement.
     """
+    vertex_of = cd.graph.vertex_of
     vertex_index = {}
-    dart_vertex = [
-        vertex_index.setdefault(cd.graph.vertex_of(d), len(vertex_index))
-        for d in cd.walk
-    ]
-    by_edge = {}
-    for i, d in enumerate(cd.walk):
-        by_edge.setdefault(d >> 1, []).append(i)
-    if len(cd.walk) != 2 * len(by_edge):
+    for d in cd.walk:
+        vertex_index.setdefault(vertex_of(d), len(vertex_index))
+    pairs = cd.edge_darts
+    if len(cd.walk) != 2 * len(pairs):
         raise NoEndpointSwapError(
             "no endpoint swap on edge %d: the dart pair stabilizer has index %d "
             "over the dart stabilizer, expected 2"
-            % (cd.base_edge, len(cd.walk) // len(by_edge))
+            % (cd.base_edge, len(cd.walk) // len(pairs))
         )
-    edges = [(dart_vertex[a], dart_vertex[b]) for a, b in by_edge.values()]
+    edges = [
+        (vertex_index[vertex_of(a)], vertex_index[vertex_of(b)]) for a, b in pairs
+    ]
     return DartGraph(len(vertex_index), edges, require_connected=False)
 
 
@@ -174,10 +183,12 @@ def roundtrip_report(graph, base_vertex=0):
 
     Only meaningful for stable vertex-transitive graphs, where every edge
     orbit reaches every vertex; each orbit uses its smallest edge at the
-    base vertex.  One automorphism group serves every tower.
+    base vertex.  One automorphism group serves every tower.  The walk is
+    the isomorphism: dart 2j+s of the rebuilt graph, the s-th dart d of
+    tower.edge_darts[j], goes to dart 2i + (d & 1) of the subgraph, where
+    edge d >> 1 is the i-th of the sorted orbit.  The witness is that map
+    if check_dart_isomorphism accepts it, else None.
     """
-    from .graphs import find_isomorphism
-
     if not (0 <= base_vertex < graph.vertex_count):
         raise ValueError("base vertex %d out of range" % base_vertex)
     if not graph.is_stable():
@@ -191,7 +202,10 @@ def roundtrip_report(graph, base_vertex=0):
         cd = stabilizer_tower(aut, base_vertex, e0)
         rebuilt = gamma_dagger(cd)
         sub = orbit_subgraph(graph, orbit)
-        witness = find_isomorphism(rebuilt, sub)
+        place = {k: i for i, k in enumerate(orbit)}
+        witness = tuple(2 * place[d >> 1] + (d & 1) for ds in cd.edge_darts for d in ds)
+        if not check_dart_isomorphism(rebuilt, sub, witness):
+            witness = None
         reports.append(
             OrbitRoundtrip(
                 edge_orbit_index=idx,
@@ -199,7 +213,7 @@ def roundtrip_report(graph, base_vertex=0):
                 tower=cd,
                 reconstructed=rebuilt,
                 subgraph=sub,
-                witness=tuple(witness) if witness is not None else None,
+                witness=witness,
             )
         )
     return reports

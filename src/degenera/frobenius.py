@@ -135,9 +135,14 @@ def parse_poly(text):
                 "%d coefficients exceed the degree limit %d"
                 % (len(parts), DEGREE_LIMIT)
             )
+        if not all(re.fullmatch(r"[+-]?\d+", part) for part in parts):
+            raise ValueError("cannot parse coefficient list %r" % text)
         return IntPoly([int(part) for part in parts])
+    terms = re.findall(r"[+-]?[^+-]+|[+-](?=[+-])", s)
+    if "".join(terms) != s:
+        raise ValueError("cannot parse %r: it ends in a sign" % text)
     coeffs = {}
-    for term in re.findall(r"[+-]?[^+-]+|[+-](?=[+-])", s):
+    for term in terms:
         match = _TERM.match(term)
         if match is None:
             raise ValueError("cannot parse term %r" % term)
@@ -157,10 +162,14 @@ def parse_poly(text):
     return IntPoly([coeffs.get(i, 0) for i in range(top + 1)])
 
 
-def primes_upto(bound):
-    """Ascending primes <= bound by a byte sieve; bound must be below 2^31."""
+def _check_bound(bound):
     if bound >= PRIME_LIMIT:
         raise ValueError("bound %d must be below 2^31" % bound)
+
+
+def primes_upto(bound):
+    """Ascending primes <= bound by a byte sieve; bound must be below 2^31."""
+    _check_bound(bound)
     if bound < 2:
         return []
     # 1 marks a composite; a failed bytearray repeat prints a stray
@@ -569,19 +578,19 @@ class CensusResult:
 
 
 def _prime_loop(f, bound):
-    """The primes p <= bound and the per-prime pattern function of f.
+    """The per-prime pattern function of f, for primes p <= bound.
 
     The function maps p to the degree pattern of f mod p, or to None when p
-    is ramified.  The sieve and disc(f) are computed here, before any prime
-    is tried, so a bound at the prime limit or a non-squarefree f fails at
-    once.  For monic f the ramified primes are exactly those dividing the
-    discriminant, so they are split off by divisibility and the per-prime
-    work stays on the squarefree path.  Primes dividing the leading
-    coefficient of a non-monic f also count as ramified, since the pattern
-    is undefined for them.  Primes above deg f count roots by the trace,
-    the others by the gcd.
+    is ramified.  The bound and disc(f) are checked here, before the caller
+    builds the sieve, so a bound at the prime limit or a non-squarefree f
+    fails at once.  For monic f the ramified primes are exactly those
+    dividing the discriminant, so they are split off by divisibility and
+    the per-prime work stays on the squarefree path.  Primes dividing the
+    leading coefficient of a non-monic f also count as ramified, since the
+    pattern is undefined for them.  Primes above deg f count roots by the
+    trace, the others by the gcd.
     """
-    plist = primes_upto(bound)
+    _check_bound(bound)
     disc = discriminant(f)
     if disc == 0:
         raise ValueError("polynomial is not squarefree (discriminant 0)")
@@ -594,7 +603,7 @@ def _prime_loop(f, bound):
         roots = _roots_by_trace if p > n else _roots_by_gcd
         return _pattern_of_squarefree(_monic_mod(f.coeffs, p), p, roots)
 
-    return plist, pattern
+    return pattern
 
 
 def _usable_cpus():
@@ -676,15 +685,15 @@ def _map_shares(work, items):
             os.waitpid(pid, 0)
 
 
-def _tally(f, bound):
-    """Pattern tally and ramified primes over all primes p <= bound.
+def _tally(pattern, bound):
+    """Tally of a _prime_loop pattern function over all primes p <= bound.
 
     Returns ({pattern: [count, first prime]}, ramified primes ascending).
     The primes are split across the usable CPUs (`_map_shares`), and each
     share sends back only its tally; the first prime of each pattern lets
     the shares merge into what one ascending scan would give.
     """
-    plist, pattern = _prime_loop(f, bound)
+    plist = primes_upto(bound)
 
     def share_tally(primes):
         tally, ramified = {}, []
@@ -715,7 +724,7 @@ def census(f, bound=DEFAULT_CENSUS_BOUND):
 
     Patterns are keyed in the order of the first prime showing each.
     """
-    tally, ramified = _tally(f, bound)
+    tally, ramified = _tally(_prime_loop(f, bound), bound)
     counts = {
         pat: entry[0] for pat, entry in sorted(tally.items(), key=lambda kv: kv[1][1])
     }
@@ -761,12 +770,13 @@ def find_even_witnesses(f, bound=DEFAULT_WITNESS_BOUND):
 
     Returns None when fewer than two exist; an odd-degree polynomial can
     never produce an all-even pattern, so it short-circuits to None once the
-    bound and the discriminant have been checked.
+    bound and the discriminant have been checked, before the sieve.
     """
     _require_monic(f)
-    plist, pattern = _prime_loop(f, bound)
+    pattern = _prime_loop(f, bound)
     if f.degree % 2 == 1:
         return None
+    plist = primes_upto(bound)
     even = (
         (p, pat)
         for p, pat in zip(plist, map(pattern, plist))
@@ -780,9 +790,15 @@ def find_even_witnesses(f, bound=DEFAULT_WITNESS_BOUND):
 
 
 def galois_cycle_witnesses(f, bound=DEFAULT_WITNESS_BOUND):
-    """Set of unramified degree patterns observed for primes <= bound."""
+    """Set of unramified degree patterns observed for primes <= bound.
+
+    A degree below 2 is refused after the bound and disc(f), before the sieve.
+    """
     _require_monic(f)
-    return set(_tally(f, bound)[0])
+    pattern = _prime_loop(f, bound)
+    if f.degree < 2:
+        raise ValueError("degree must be at least 2")
+    return set(_tally(pattern, bound)[0])
 
 
 def certifies_symmetric_group(patterns, n):

@@ -6,10 +6,10 @@ at the same vertex, so it contributes 2 to the degree.  The genus of a
 connected graph is |E| - |V| + 1, which equals the rank of its cycle space.
 
 Automorphisms are permutations of the darts that commute with the involution
-and descend to a vertex bijection.  The kernel of the vertex action (the
-parallel-edge swaps and loop flips) stays implicit as the parallel classes;
-it is extended by canonical dart lifts of a small generating set of the
-multiplicity-preserving vertex automorphisms.  That set comes from a
+and descend to a vertex bijection.  The kernel of the vertex action is
+generated by the parallel-edge swaps and loop flips, kept as lists of dart
+transpositions; it is extended by canonical dart lifts of a small
+generating set of the multiplicity-preserving vertex automorphisms.  That set comes from a
 search along a breadth-first vertex base with first-in-orbit pruning: each
 base point needs at most (orbit length - 1) generators, so their number
 follows the orbit lengths, not |Aut|, and those lengths give |Aut| with no
@@ -17,12 +17,13 @@ stabilizer chain.  Rooted at one vertex and run on every level, the search
 gives Aut, and the generators found before the root's level, with the
 kernel, generate its stabilizer; run only on the levels after a prefix of
 the base, it gives the prefix's pointwise stabilizer, which decides
-admissibility.  One iterative first-solution backtrack serves that search
-and find_isomorphism.  Vertex orbits come from the vertex generators, edge
-orbits from the lifts merged with the parallel classes, and the orbit of a
-dart from the lifts and the few kernel generators that move it, so no
-command spends time or memory on the kernel's permutations: the group with
-every generator explicit is built only when read.
+admissibility.  The search is an iterative first-solution backtrack on
+one graph; isomorphisms between two graphs are never searched for.  Vertex
+orbits come from the vertex generators, edge orbits from the lifts merged
+with the parallel classes, and the orbit of a dart from the lifts and the
+few kernel generators that move it, so no command builds the kernel's
+permutations: the group with every generator explicit is built only when
+read.
 """
 
 from __future__ import annotations
@@ -291,32 +292,30 @@ FAMILY_NAMES = ("k5", "circulant", "double-cycle", "theta-loops")
 
 
 class _VertexMatcher:
-    """A partial multiplicity-preserving vertex map a -> b, grown by backtracking.
+    """A partial multiplicity-preserving vertex self-map, grown by backtracking.
 
     Each vertex carries the signature (degree, loop count, sorted neighbour
     multiplicities), and an image must share it.  A candidate image is
     checked only against the neighbours already mapped: their multiplicities
     must match, and the total multiplicity from the candidate to mapped
-    vertices (kept per vertex of b) must equal that of the vertex, so no
+    vertices (kept per image vertex) must equal that of the vertex, so no
     unmatched edge hides among the mapped vertices.
     """
 
-    def __init__(self, a, b, prefix=(0,)):
-        self.n = a.vertex_count
-        side_a = _neighbourhoods(a)
-        self.nbrs_a, self.sig_a = side_a
-        self.nbrs_b, self.sig_b = side_a if b is a else _neighbourhoods(b)
-        self.sorted_b = [sorted(nb) for nb in self.nbrs_b]
+    def __init__(self, graph, prefix):
+        self.n = graph.vertex_count
+        self.nbrs, self.sig = _neighbourhoods(graph)
+        self.sorted_nbrs = [sorted(nb) for nb in self.nbrs]
         self.image = [None] * self.n
         self.used = [False] * self.n
         self.load = [0] * self.n
-        self.order = _search_order(self.nbrs_a, prefix)
+        self.order = _search_order(self.nbrs, prefix)
 
     def assign(self, v, w):
         self.image[v] = w
         self.used[w] = True
         load = self.load
-        for x, m in self.nbrs_b[w].items():
+        for x, m in self.nbrs[w].items():
             load[x] += m
 
     def unassign(self, v):
@@ -324,17 +323,17 @@ class _VertexMatcher:
         self.image[v] = None
         self.used[w] = False
         load = self.load
-        for x, m in self.nbrs_b[w].items():
+        for x, m in self.nbrs[w].items():
             load[x] -= m
 
     def fits(self, v, w):
         """Whether v -> w agrees with every vertex mapped so far."""
-        if self.used[w] or self.sig_a[v] != self.sig_b[w]:
+        if self.used[w] or self.sig[v] != self.sig[w]:
             return False
         image = self.image
-        at_w = self.nbrs_b[w]
+        at_w = self.nbrs[w]
         total = 0
-        for u, m in self.nbrs_a[v].items():
+        for u, m in self.nbrs[v].items():
             x = image[u]
             if x is not None:
                 if at_w.get(x) != m:
@@ -345,10 +344,10 @@ class _VertexMatcher:
     def candidates(self, v):
         """Possible images of v in ascending order: the neighbours of a mapped
         neighbour's image, or every vertex when no neighbour is mapped yet."""
-        for u in self.nbrs_a[v]:
+        for u in self.nbrs[v]:
             x = self.image[u]
             if x is not None:
-                return self.sorted_b[x]
+                return self.sorted_nbrs[x]
         return range(self.n)
 
     def complete(self, pending):
@@ -439,7 +438,7 @@ def _vertex_generators(graph, prefix, pinned=0):
     of b_0.  Returns the generators in the order found, the order of their
     group (the product of the final orbit lengths) and the last orbit length.
     """
-    matcher = _VertexMatcher(graph, graph, prefix)
+    matcher = _VertexMatcher(graph, prefix)
     base = matcher.order
     for v in base:
         matcher.assign(v, v)
@@ -463,56 +462,35 @@ def _vertex_generators(graph, prefix, pinned=0):
     return gens, order, orbit_length
 
 
-def _lift_vertex_map(a, b, sigma, classes_a, classes_b):
+def _lift_vertex_map(graph, sigma, classes):
     """Canonical dart map covering sigma: k-th parallel edge to k-th parallel edge.
 
-    classes_a and classes_b are a.parallel_classes() and b.parallel_classes().
-    Dart 2e sits at a.edges[e][0], so a pair of darts keeps its order exactly
-    when both edges start at corresponding endpoints.
+    classes is graph.parallel_classes().  Dart 2e sits at graph.edges[e][0],
+    so a pair of darts keeps its order exactly when both edges start at
+    corresponding endpoints.
     """
-    ends_a, ends_b = a.edges, b.edges
-    images = [None] * a.dart_count
-    for (u, v), edge_ids in classes_a.items():
+    ends = graph.edges
+    images = [None] * graph.dart_count
+    for (u, v), edge_ids in classes.items():
         su, sv = sigma[u], sigma[v]
-        targets = classes_b[(min(su, sv), max(su, sv))]
+        targets = classes[(min(su, sv), max(su, sv))]
         for e, f in zip(edge_ids, targets):
-            flip = (ends_a[e][0] != u) ^ (ends_b[f][0] != su)
+            flip = (ends[e][0] != u) ^ (ends[f][0] != su)
             images[2 * e] = 2 * f + flip
             images[2 * e + 1] = 2 * f + 1 - flip
     return images
 
 
-def _dart_generators(graph, classes, lifts):
-    """Dart permutations: the swap of each pair of adjacent edges in the
-    given parallel classes, then the flip of each loop in them, then the
-    given lifts."""
-    gens = []
-    identity = list(range(graph.dart_count))
-    for edge_ids in classes.values():
-        for e, f in zip(edge_ids, edge_ids[1:]):
-            images = identity[:]
-            flip = graph.edges[e] != graph.edges[f]
-            images[2 * e], images[2 * f + flip] = 2 * f + flip, 2 * e
-            images[2 * e + 1], images[2 * f + 1 - flip] = 2 * f + 1 - flip, 2 * e + 1
-            gens.append(images)
-    loops = sorted(e for (u, v), edge_ids in classes.items() if u == v for e in edge_ids)
-    for e in loops:
-        images = identity[:]
-        images[2 * e], images[2 * e + 1] = 2 * e + 1, 2 * e
-        gens.append(images)
-    return [Perm._unchecked(tuple(p)) for p in gens + list(lifts)]
-
-
 class GraphAut:
     """Automorphism group of a graph in its faithful action on darts.
 
-    The group is the kernel of the vertex action, kept implicit as the
-    parallel classes (S_m on each class of m edges, C_2 wr S_k on each
-    class of k loops), extended by lifts, the canonical dart lifts of the
-    vertex generators.  order is |Aut| from the generator search, rooted
-    at root, whose orbit has root_orbit vertices.  group, with every
-    kernel generator a dart permutation, is built when first read; no
-    command reads it.
+    The group is the kernel of the vertex action (S_m on each class of m
+    parallel edges, C_2 wr S_k on each class of k loops), generated by
+    kernel, extended by lifts, the canonical dart lifts of the vertex
+    generators.  order is |Aut| from the generator search, rooted at root,
+    whose orbit has root_orbit vertices.  group, with every kernel
+    generator a dart permutation, is built when first read; no command
+    reads it.
 
     Orbits and vertex-transitivity come from the vertex generators, so
     they are defined also when a vertex has no dart, which only a
@@ -546,43 +524,58 @@ class GraphAut:
         return Perm(images)
 
     @cached_property
+    def kernel(self):
+        """The kernel generators, each a tuple of dart transpositions: the
+        swap of each pair of adjacent edges in a class, classes in key
+        order, then the flip of every loop, loops sorted."""
+        edges = self.graph.edges
+        swaps, flips = [], []
+        for (u, v), edge_ids in self.classes.items():
+            for e, f in zip(edge_ids, edge_ids[1:]):
+                flip = edges[e] != edges[f]
+                swaps.append(((2 * e, 2 * f + flip), (2 * e + 1, 2 * f + 1 - flip)))
+            if u == v:
+                flips += [((2 * e, 2 * e + 1),) for e in edge_ids]
+        return swaps + sorted(flips)
+
+    def _dart_perms(self, kernel, lifts):
+        """The kernel generators as dart permutations, then the lifts."""
+        gens = []
+        for transpositions in kernel:
+            images = list(range(self.graph.dart_count))
+            for x, y in transpositions:
+                images[x], images[y] = y, x
+            gens.append(tuple(images))
+        return [Perm._unchecked(p) for p in gens + list(lifts)]
+
+    @cached_property
     def group(self):
-        generators = _dart_generators(self.graph, self.classes, self.lifts)
+        generators = self._dart_perms(self.kernel, self.lifts)
         return PermGroup(self.graph.dart_count, generators)
 
     def branch_generators(self):
-        """The swaps and flips of the classes at root, then the lifts fixing
-        root.  With the other classes' swaps and flips they generate the
+        """The kernel generators that move a dart at root, then the lifts
+        fixing root.  With the rest of the kernel they generate the
         stabilizer of root; on the darts at root these alone give its image."""
-        root = self.root
-        at_root = {key: ids for key, ids in self.classes.items() if root in key}
+        root, vertex_of = self.root, self.graph.vertex_of
+        at_root = [t for t in self.kernel if any(vertex_of(x) == root for x, _ in t)]
         fixing = [p for p, s in zip(self.lifts, self.vertex_gens) if s[root] == root]
-        return _dart_generators(self.graph, at_root, fixing)
+        return self._dart_perms(at_root, fixing)
 
     @property
     def generator_count(self):
         """len(group.generators) on a connected graph, without building it."""
-        classes = self.classes.items()
-        kernel = sum(len(ids) - 1 + (u == v) * len(ids) for (u, v), ids in classes)
-        return kernel + len(self.lifts)
+        return len(self.kernel) + len(self.lifts)
 
     @cached_property
     def _moves(self):
         """Per dart, its images under those of group.generators that can
-        move it, in their order: the swaps with the neighbouring edges in
-        its class, its flip if on a loop, then every lift."""
-        edges = self.graph.edges
+        move it, in their order: the kernel generators, then every lift."""
         moves = [[] for _ in range(self.graph.dart_count)]
-        for (u, v), edge_ids in self.classes.items():
-            for e, f in zip(edge_ids, edge_ids[1:]):
-                flip = edges[e] != edges[f]
-                for side in (0, 1):
-                    moves[2 * e + side].append(2 * f + (side ^ flip))
-                    moves[2 * f + (side ^ flip)].append(2 * e + side)
-            if u == v:
-                for e in edge_ids:
-                    moves[2 * e].append(2 * e + 1)
-                    moves[2 * e + 1].append(2 * e)
+        for transpositions in self.kernel:
+            for x, y in transpositions:
+                moves[x].append(y)
+                moves[y].append(x)
         for p in self.lifts:
             for x, y in enumerate(p):
                 moves[x].append(y)
@@ -647,10 +640,7 @@ def automorphism_group(graph, root=0):
         raise ValueError("root vertex %d out of range" % root)
     classes = graph.parallel_classes()
     vertex_gens, order, root_orbit = _vertex_generators(graph, (root,))
-    lifts = [
-        tuple(_lift_vertex_map(graph, graph, sigma, classes, classes))
-        for sigma in vertex_gens
-    ]
+    lifts = [tuple(_lift_vertex_map(graph, sigma, classes)) for sigma in vertex_gens]
     for (u, v), edge_ids in classes.items():
         k = len(edge_ids)
         order *= factorial(k) << (k if u == v else 0)
@@ -682,23 +672,6 @@ def is_admissible(aut):
         elif u == v or len(edge_ids) > 1:
             return False
     return not _vertex_generators(graph, sorted(pinned), len(pinned))[0]
-
-
-def find_isomorphism(a, b):
-    """A dart bijection a -> b respecting involution and incidence, or None."""
-    if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
-        return None
-    if sorted(a.degrees()) != sorted(b.degrees()):
-        return None
-    matcher = _VertexMatcher(a, b)
-    sigma = matcher.complete(matcher.order)
-    if sigma is None:
-        return None
-    return _lift_vertex_map(a, b, sigma, a.parallel_classes(), b.parallel_classes())
-
-
-def is_isomorphic(a, b):
-    return find_isomorphism(a, b) is not None
 
 
 def check_dart_isomorphism(a, b, images):

@@ -517,26 +517,22 @@ def even_orbit_search(group, point, cap=DEFAULT_ENUMERATION_CAP):
     the power of an image that keeps only its 2-part has even cycles too
     and ranks no later.  It is lifted by multiplying along its word to
     some g in the group, and the certificate is g^k, where k is the odd
-    part of the order of g: an odd power keeps every 2-power cycle on Ω,
-    and the order of g^k is a power of two.  Returns an OrbitCertificate,
-    or None when no image element has only even cycles.
+    part of the order n of g: an odd power keeps every 2-power cycle on Ω,
+    so g^k has the cycle lengths of the chosen image there, and its order
+    is n & -n, the 2-part of n.  Returns an OrbitCertificate, or None when
+    no image element has only even cycles.
     """
     found = _best_image(group, point, cap)
     if found is None:
         return None
-    orbit, _, word = found
+    _, image, word = found
     g = Perm.identity(group.degree)
     for j in word:
         g = g * group.generators[j]
     n = g.order()
-    element = g ** (n // (n & -n))
-    on_orbit = set(orbit)
-    sizes = sorted(
-        (len(c) for c in element.cycles(include_fixed=True) if c[0] in on_orbit),
-        reverse=True,
-    )
+    sizes = sorted((len(c) for c in Perm._unchecked(image).cycles()), reverse=True)
     return OrbitCertificate(
-        element=element, element_order=element.order(), orbit_sizes=tuple(sizes)
+        element=g ** (n // (n & -n)), element_order=n & -n, orbit_sizes=tuple(sizes)
     )
 
 

@@ -480,16 +480,46 @@ def admissible_by_chain(graph):
 def networkx_vertex_automorphisms(graph):
     """Every multiplicity- and loop-preserving vertex automorphism, as a
     tuple of images, from networkx's MultiGraphMatcher (imported lazily)."""
-    import networkx as nx
     from networkx.algorithms.isomorphism import MultiGraphMatcher
 
-    ng = nx.MultiGraph()
-    ng.add_nodes_from(range(graph.vertex_count))
-    ng.add_edges_from(graph.edges)
+    ng = _networkx_multigraph(graph)
     return [
         tuple(m[v] for v in range(graph.vertex_count))
         for m in MultiGraphMatcher(ng, ng).isomorphisms_iter()
     ]
+
+
+def _networkx_multigraph(graph):
+    import networkx as nx
+
+    ng = nx.MultiGraph()
+    ng.add_nodes_from(range(graph.vertex_count))
+    ng.add_edges_from(graph.edges)
+    return ng
+
+
+def networkx_dart_isomorphism(a, b):
+    """A dart bijection a -> b, or None: networkx's first MultiGraphMatcher
+    vertex isomorphism, lifted k-th parallel edge to k-th parallel edge
+    (dart 2e sits at a.edges[e][0], dart 2e+1 at a.edges[e][1])."""
+    from networkx.algorithms.isomorphism import MultiGraphMatcher
+
+    if a.edge_count != b.edge_count:
+        return None
+    matcher = MultiGraphMatcher(_networkx_multigraph(a), _networkx_multigraph(b))
+    sigma = next(matcher.isomorphisms_iter(), None)
+    if sigma is None:
+        return None
+    pools = {}
+    for f, (x, y) in enumerate(b.edges):
+        pools.setdefault((min(x, y), max(x, y)), []).append(f)
+    images = []
+    for u, v in a.edges:
+        su, sv = sigma[u], sigma[v]
+        f = pools[(min(su, sv), max(su, sv))].pop(0)
+        flip = int(b.edges[f][0] != su)
+        images += [2 * f + flip, 2 * f + 1 - flip]
+    return images
 
 
 def dart_group_order(graph, vertex_automorphism_count):
@@ -528,3 +558,119 @@ def base_orbit_bound(automorphisms, base):
         fixing = [s for s in automorphisms if all(s[x] == x for x in base[:i])]
         bound += len({s[b] for s in fixing}) - 1
     return bound
+
+
+def _signatures(vertex_count, edges):
+    """Per vertex: (degree, loop count, sorted multiplicities to the others)."""
+    loops = [0] * vertex_count
+    mult = [{} for _ in range(vertex_count)]
+    for u, v in edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            mult[u][v] = mult[u].get(v, 0) + 1
+            mult[v][u] = mult[v].get(u, 0) + 1
+    return [
+        (2 * loops[x] + sum(mult[x].values()), loops[x], tuple(sorted(mult[x].values())))
+        for x in range(vertex_count)
+    ]
+
+
+def labelled_stable_multigraphs(genus):
+    """Connected stable multigraphs of the genus (loops allowed) as DartGraphs
+    on 0..n-1, each labelled so its vertex signatures (degree, loop count,
+    sorted multiplicities) do not increase; every isomorphism class has such
+    a labelling, most have several.
+
+    Stability gives 3n <= 2|E| = 2(n + genus - 1), so n <= 2 genus - 2.  For
+    each n and each non-increasing degree sequence the multiplicities of
+    the vertex pairs, loops included, are chosen in row order, row i ending
+    with degree i met."""
+    from degenera.graphs import DartGraph
+
+    def degree_sequences(count, total, cap):
+        if count == 0:
+            if total == 0:
+                yield ()
+            return
+        for d in range(min(cap, total - 3 * (count - 1)), 2, -1):
+            for rest in degree_sequences(count - 1, total - d, d):
+                yield (d,) + rest
+
+    out = []
+    for n in range(1, 2 * genus - 1):
+        edge_count = n + genus - 1
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        for degrees in degree_sequences(n, 2 * edge_count, 2 * edge_count):
+            need = list(degrees)
+            chosen = []
+
+            def fill(k):
+                if k == len(pairs):
+                    yield list(chosen)
+                    return
+                i, j = pairs[k]
+                top = need[i] // 2 if i == j else min(need[i], need[j])
+                for m in range(top, -1, -1):
+                    need[i] -= 2 * m if i == j else m
+                    need[j] -= 0 if i == j else m
+                    if j < n - 1 or not need[i]:
+                        chosen.extend([(i, j)] * m)
+                        yield from fill(k + 1)
+                        del chosen[len(chosen) - m:]
+                    need[i] += 2 * m if i == j else m
+                    need[j] += 0 if i == j else m
+
+            for edges in fill(0):
+                sigs = _signatures(n, edges)
+                if all(a >= b for a, b in zip(sigs, sigs[1:])):
+                    try:
+                        out.append(DartGraph(n, edges))
+                    except ValueError:  # not connected
+                        pass
+    return out
+
+
+def brute_canonical_form(graph):
+    """The least sorted edge list over every relabelling that permutes only
+    vertices of equal signature, for a graph labelled as
+    labelled_stable_multigraphs labels it: two such labellings of one
+    graph differ by exactly such a permutation."""
+    sigs = _signatures(graph.vertex_count, graph.edges)
+    blocks = []
+    for x in range(graph.vertex_count):
+        if x and sigs[x] == sigs[x - 1]:
+            blocks[-1].append(x)
+        else:
+            blocks.append([x])
+    best = None
+    for images in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        p = [y for block in images for y in block]
+        key = sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in graph.edges)
+        if best is None or key < best:
+            best = key
+    return (graph.vertex_count, tuple(best))
+
+
+def stable_graphs_by_canonical_form(genus):
+    """One graph per isomorphism class of connected stable multigraphs of the
+    genus, deduplicated by brute_canonical_form."""
+    classes = {}
+    for g in labelled_stable_multigraphs(genus):
+        classes.setdefault(brute_canonical_form(g), g)
+    return list(classes.values())
+
+
+def stable_graphs_by_networkx(genus):
+    """One graph per isomorphism class, deduplicated by networkx's multigraph
+    isomorphism test against the classes found so far with the same
+    sorted signatures."""
+    import networkx as nx
+
+    buckets = {}
+    for g in labelled_stable_multigraphs(genus):
+        bucket = buckets.setdefault(tuple(sorted(_signatures(g.vertex_count, g.edges))), [])
+        ng = _networkx_multigraph(g)
+        if not any(nx.is_isomorphic(ng, other) for _, other in bucket):
+            bucket.append((g, ng))
+    return [g for bucket in buckets.values() for g, _ in bucket]

@@ -670,6 +670,50 @@ class TestFrobenius:
         assert out == ""
         assert err == "error: bound %s must be below 2^31\n" % bound
 
+    @pytest.mark.parametrize("poly", ["x^2+1-", "x^2+1+", "+", "-", "x^2+1,", ","])
+    @pytest.mark.parametrize("command", ["census", "witness", "galois"])
+    def test_unparsable_tail_rejected(self, capsys, command, poly):
+        # a trailing sign is not dropped, and no Python message leaks out
+        code, out, err = run_cli(capsys, "frobenius", command, poly, "--bound", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse ") and err.count("\n") == 1
+        assert repr(poly) in err
+
+    @pytest.fixture
+    def no_sieve(self, monkeypatch):
+        def sieve(bound):
+            raise AssertionError("the sieve was built")
+
+        monkeypatch.setattr(frobenius, "primes_upto", sieve)
+
+    def test_galois_degree_one_refused_before_the_sieve(self, capsys, no_sieve):
+        code, out, err = run_cli(
+            capsys, "frobenius", "galois", "x+1", "--bound", "100000000"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: degree must be at least 2\n"
+
+    def test_odd_degree_witness_answers_before_the_sieve(self, capsys, no_sieve):
+        code, out, err = run_cli(
+            capsys, "frobenius", "witness", "x^3-2", "--bound", "100000000"
+        )
+        assert (code, err) == (1, "")
+        assert "witnesses: not found (odd degree admits no all-even pattern)" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("galois", "x+1", "--bound", str(2**31)), "bound %d must be below 2^31" % 2**31),
+            (("galois", "2x+1"), "the polynomial must be monic (leading coefficient 1)"),
+            (("witness", "x^3-3x+2"), "polynomial is not squarefree (discriminant 0)"),
+        ],
+        ids=["bound", "monic", "discriminant"],
+    )
+    def test_earlier_refusals_keep_their_precedence(self, capsys, no_sieve, argv, message):
+        code, out, err = run_cli(capsys, "frobenius", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: %s\n" % message
+
     def test_galois(self, capsys):
         code, out, _ = run_cli(
             capsys, "frobenius", "galois", "x^4-x-1", "--bound", "2000"
