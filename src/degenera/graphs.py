@@ -5,25 +5,25 @@ them is implicit in that numbering.  A loop is an edge whose two darts sit
 at the same vertex, so it contributes 2 to the degree.  The genus of a
 connected graph is |E| - |V| + 1, which equals the rank of its cycle space.
 
-Automorphisms are permutations of the darts that commute with the involution
-and descend to a vertex bijection.  The kernel of the vertex action is
-generated by the parallel-edge swaps and loop flips, kept as lists of dart
-transpositions; it is extended by canonical dart lifts of a small
-generating set of the multiplicity-preserving vertex automorphisms.  That set comes from a
-search along a breadth-first vertex base with first-in-orbit pruning: each
-base point needs at most (orbit length - 1) generators, so their number
-follows the orbit lengths, not |Aut|, and those lengths give |Aut| with no
-stabilizer chain.  Rooted at one vertex and run on every level, the search
-gives Aut, and the generators found before the root's level, with the
-kernel, generate its stabilizer; run only on the levels after a prefix of
-the base, it gives the prefix's pointwise stabilizer, which decides
-admissibility.  The search is an iterative first-solution backtrack on
-one graph; isomorphisms between two graphs are never searched for.  Vertex
-orbits come from the vertex generators, edge orbits from the lifts merged
-with the parallel classes, and the orbit of a dart from the lifts and the
-few kernel generators that move it, so no command builds the kernel's
-permutations: the group with every generator explicit is built only when
-read.
+Automorphisms are permutations of the darts that commute with the
+involution and descend to a vertex bijection.  The kernel of the vertex
+action is generated by the parallel-edge swaps and loop flips, each kept as
+its dart transpositions; it is extended by canonical dart lifts of a small
+generating set of the multiplicity-preserving vertex automorphisms.  That
+set comes from a search along a breadth-first vertex base with
+first-in-orbit pruning: each base point needs at most (orbit length - 1)
+generators, so their number follows the orbit lengths, not |Aut|, and those
+lengths give |Aut| with no stabilizer chain.  Rooted at one vertex and run
+on every level, the search gives Aut, and the generators found before the
+root's level, with the kernel, generate its stabilizer; run only on the
+levels after a prefix of the base, it gives the prefix's pointwise
+stabilizer, which decides admissibility.  The search is an iterative
+first-solution backtrack on one graph; isomorphisms between two graphs are
+never searched for.  Vertex orbits come from the vertex generators, edge
+orbits from the lifts merged with the parallel classes, and the orbit of a
+dart from the lifts and the few kernel generators that move it, so no
+command builds the kernel's permutations: the group with every generator
+explicit is built only when read.
 """
 
 from __future__ import annotations
