@@ -266,9 +266,6 @@ class Verdict:
     n: Optional[int]
     per_orbit: tuple
 
-    def certificates(self):
-        return [r.certificate for r in self.per_orbit if r.certificate is not None]
-
     def to_dict(self):
         return {
             "status": self.status,

@@ -261,7 +261,7 @@ def _cmd_graph_analyze(args):
         "degrees: %s" % " ".join(map(str, result["degrees"])),
         "stable: %s" % _yn(stable),
         "all degrees even: %s" % _yn(result["all_degrees_even"]),
-        "|Aut| = %d" % result["aut_order"],
+        "|Aut| = %s" % _decimal(aut.order),
         "generators: %d" % result["aut_generators"],
         "vertex-transitive: %s" % _yn(result["vertex_transitive"]),
         "edge orbits: %d (sizes %s)"
@@ -286,23 +286,23 @@ def _cmd_certify(args):
         "admissible: %s" % _yn(verdict.admissible),
         "all degrees even: %s" % _yn(verdict.all_degrees_even),
         "vertex-transitive: %s" % _yn(verdict.vertex_transitive),
-        "|Aut| = %d" % verdict.g1_order,
+        "|Aut| = %s" % _decimal(verdict.g1_order),
     ]
     if verdict.g2_order is not None:
         lines.append(
-            "base vertex %d: |Stab| = %d, vertex orbit size %d"
-            % (verdict.base_vertex, verdict.g2_order, verdict.n)
+            "base vertex %d: |Stab| = %s, vertex orbit size %d"
+            % (verdict.base_vertex, _decimal(verdict.g2_order), verdict.n)
         )
     for rep in verdict.per_orbit:
         lines.append(
-            "orbit (edge orbit %d, base edge %d%s): cosets %d, |G3| = %d, |G4| = %d"
+            "orbit (edge orbit %d, base edge %d%s): cosets %d, |G3| = %s, |G4| = %s"
             % (
                 rep.edge_orbit_index,
                 rep.base_edge,
                 ", loop" if rep.is_loop else "",
                 rep.m,
-                rep.g3_order,
-                rep.g4_order,
+                _decimal(rep.g3_order),
+                _decimal(rep.g4_order),
             )
         )
         if rep.certificate is None:
@@ -351,12 +351,12 @@ def _cmd_roundtrip(args):
     for r in reports:
         t = r.tower
         lines.append(
-            "edge orbit %d (%d edges): tower %d/%d/%d/%d, n=%d m=%d -> "
+            "edge orbit %d (%d edges): tower %s, n=%d m=%d -> "
             "%d vertices %d edges, isomorphic: %s"
             % (
                 r.edge_orbit_index,
                 len(r.edge_orbit),
-                *t.orders(),
+                "/".join(map(_decimal, t.orders())),
                 t.n,
                 t.m,
                 r.reconstructed.vertex_count,
@@ -478,10 +478,14 @@ def main(argv=None):
 
 def _json_text(value, indent="\n"):
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, from
-    json's C string encoder, int.__repr__ and json's text of other scalars."""
+    json's C string encoder, int.__repr__ and json's text of other scalars;
+    an int too long for int.__repr__ is written in full by _decimal."""
     kind = type(value)
     if kind is int:
-        return int.__repr__(value)
+        try:
+            return int.__repr__(value)
+        except ValueError:
+            return _decimal(value)
     if kind is str:
         return encode_basestring_ascii(value)
     inner = indent + "  "
@@ -499,6 +503,26 @@ def _json_text(value, indent="\n"):
     if not value:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
+# remainders mod this power of ten have at most 600 digits, which
+# int.__repr__ converts under any digit limit (the lowest is 640)
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n):
+    """int.__repr__(n), also for a nonnegative n of more digits than the
+    interpreter converts at once (a group order): then in chunks, lowest
+    first, each below the limit.  The limit itself stays in force."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        chunks = []
+        while n >= _CHUNK:
+            n, low = divmod(n, _CHUNK)
+            chunks.append("%0*d" % (_CHUNK_DIGITS, low))
+        return int.__repr__(n) + "".join(reversed(chunks))
 
 
 def _describe_input(info):

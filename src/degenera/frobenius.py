@@ -37,7 +37,8 @@ second all-even prime.  `degree_pattern` stays a separate single-prime path
 with its own primality and gcd(f, f') tests and the gcd count, so
 certificates and the test oracles re-check both the ramified primes and
 the trace count of the loop.  `parse_poly` refuses a degree above
-DEGREE_LIMIT before it builds a coefficient list.
+DEGREE_LIMIT before it builds a coefficient list, and a number of more
+than DIGIT_LIMIT digits before it converts any.
 """
 
 from __future__ import annotations
@@ -117,17 +118,24 @@ class IntPoly:
 
 
 _TERM = re.compile(r"^([+-]?)(\d*)(x)?(?:\^(\d+))?$")
+# int() refuses a longer run of digits (Python's default integer string
+# conversion limit), so parse_poly refuses it first with its own message
+DIGIT_LIMIT = 4300
+_LONG_NUMBER = re.compile(r"\d{%d}" % (DIGIT_LIMIT + 1))
 
 
 def parse_poly(text):
     """Parse 'x^4-x-1' style or ascending comma form '-1,-1,0,0,1'.
 
     An exponent above DEGREE_LIMIT, or more than DEGREE_LIMIT + 1 comma
-    coefficients, is rejected before any coefficient list is built.
+    coefficients, is rejected before any coefficient list is built, and a
+    number of more than DIGIT_LIMIT digits before any is converted.
     """
     s = text.replace("−", "-").replace("*", "").replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
+    if _LONG_NUMBER.search(s):
+        raise ValueError("cannot parse a number of more than %d digits" % DIGIT_LIMIT)
     if "," in s:
         parts = s.split(",")
         if len(parts) > DEGREE_LIMIT + 1:
@@ -549,10 +557,6 @@ class CensusResult:
     def unramified_count(self):
         return self.prime_count - len(self.ramified)
 
-    def frequencies(self):
-        total = self.unramified_count
-        return {pat: cnt / total for pat, cnt in self.counts.items()}
-
     def all_even_fraction(self):
         even = sum(
             cnt for pat, cnt in self.counts.items() if all(d % 2 == 0 for d in pat)
@@ -817,6 +821,3 @@ def certifies_symmetric_group(patterns, n):
         and (n - 1, 1) in patterns
         and transposition in patterns
     )
-
-
-DEMO_QUARTIC = IntPoly((-1, -1, 0, 0, 1))

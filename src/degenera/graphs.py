@@ -19,11 +19,11 @@ root's level, with the kernel, generate its stabilizer; run only on the
 levels after a prefix of the base, it gives the prefix's pointwise
 stabilizer, which decides admissibility.  The search is an iterative
 first-solution backtrack on one graph; isomorphisms between two graphs are
-never searched for.  Vertex orbits come from the vertex generators, edge
-orbits from the lifts merged with the parallel classes, and the orbit of a
-dart from the lifts and the few kernel generators that move it, so no
-command builds the kernel's permutations: the group with every generator
-explicit is built only when read.
+never searched for.  Vertex-transitivity comes from the root's orbit
+length, edge orbits from the lifts merged with the parallel classes, and
+the orbit of a dart from the lifts and the few kernel generators that move
+it, so no command builds the kernel's permutations: the group with every
+generator explicit is built only when read.
 """
 
 from __future__ import annotations
@@ -86,24 +86,6 @@ class DartGraph:
         return len(seen) == self.vertex_count
 
     @classmethod
-    def from_darts(cls, dart_vertex, involution, require_connected=True):
-        """Build from explicit darts and a pairing involution."""
-        n_darts = len(dart_vertex)
-        if sorted(involution) != list(range(n_darts)):
-            raise ValueError("involution is not a permutation of the darts")
-        edges = []
-        for d in range(n_darts):
-            e = involution[d]
-            if e == d:
-                raise ValueError("involution fixes dart %d" % d)
-            if involution[e] != d:
-                raise ValueError("involution is not self-inverse at dart %d" % d)
-            if d < e:
-                edges.append((dart_vertex[d], dart_vertex[e]))
-        vertex_count = max(dart_vertex) + 1 if dart_vertex else 1
-        return cls(vertex_count, edges, require_connected=require_connected)
-
-    @classmethod
     def parse(cls, text):
         """Parse the plain text format: a 'vertices N' line then 'edge u v' lines."""
         vertex_count = None
@@ -129,11 +111,6 @@ class DartGraph:
             raise ValueError("missing 'vertices N' header line")
         return cls(vertex_count, edges)
 
-    def to_text(self):
-        lines = ["vertices %d" % self.vertex_count]
-        lines.extend("edge %d %d" % (u, v) for u, v in self.edges)
-        return "\n".join(lines) + "\n"
-
     @property
     def edge_count(self):
         return len(self.edges)
@@ -141,14 +118,6 @@ class DartGraph:
     @property
     def dart_count(self):
         return 2 * len(self.edges)
-
-    @property
-    def involution(self):
-        out = []
-        for k in range(len(self.edges)):
-            out.append(2 * k + 1)
-            out.append(2 * k)
-        return tuple(out)
 
     def vertex_of(self, dart):
         return self._dart_vertex[dart]
@@ -158,9 +127,6 @@ class DartGraph:
 
     def partner(self, dart):
         return dart ^ 1
-
-    def dart_pair(self, edge):
-        return (2 * edge, 2 * edge + 1)
 
     def is_loop(self, edge):
         u, v = self.edges[edge]
@@ -187,11 +153,6 @@ class DartGraph:
     def genus(self):
         """First Betti number |E| - |V| + 1 of the connected graph."""
         return self.edge_count - self.vertex_count + 1
-
-    def multiplicity(self, u, v):
-        """Number of edges joining u and v (loops when u == v)."""
-        key = (min(u, v), max(u, v))
-        return sum(1 for a, b in self.edges if (min(a, b), max(a, b)) == key)
 
     def parallel_classes(self):
         """Edge ids grouped by unordered endpoints, keys sorted."""
@@ -228,11 +189,6 @@ class DartGraph:
 def complete_graph(n):
     """K_n on vertices 0..n-1."""
     return DartGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def complete_bipartite(a, b):
-    """K_{a,b} with part A on 0..a-1 and part B on a..a+b-1."""
-    return DartGraph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def circulant_graph(genus):
@@ -490,12 +446,11 @@ class GraphAut:
     generators.  order is |Aut| from the generator search, rooted at root,
     whose orbit has root_orbit vertices.  group, with every kernel
     generator a dart permutation, is built when first read; no command
-    reads it.
+    reads it, only the benchmark's re-check of certificates.
 
-    Orbits and vertex-transitivity come from the vertex generators, so
-    they are defined also when a vertex has no dart, which only a
-    disconnected graph or the one-vertex graph without edges has; only
-    vertex_perm refuses such a graph, as the vertex has no image there.
+    Edge orbits and vertex-transitivity come from the generators, so they
+    are defined also when a vertex has no dart, which only a disconnected
+    graph or the one-vertex graph without edges has.
     """
 
     def __init__(self, graph, classes, order, vertex_gens, lifts, root, root_orbit):
@@ -506,22 +461,6 @@ class GraphAut:
         self.lifts = lifts
         self.root = root
         self.root_orbit = root_orbit
-
-    def vertex_perm(self, p):
-        """Vertex permutation covered by a dart permutation in the group."""
-        images = [None] * self.graph.vertex_count
-        for d in range(self.graph.dart_count):
-            v = self.graph.vertex_of(d)
-            w = self.graph.vertex_of(p.images[d])
-            if images[v] is None:
-                images[v] = w
-            elif images[v] != w:
-                raise ValueError("dart permutation does not cover a vertex map")
-        if None in images:
-            raise ValueError(
-                "a vertex with no dart has no image under a dart permutation"
-            )
-        return Perm(images)
 
     @cached_property
     def kernel(self):
@@ -592,9 +531,15 @@ class GraphAut:
                     walk.append(y)
         return walk
 
-    def _orbits(self, count, maps):
-        """Orbits of 0..count-1 under the maps (image sequences), each
-        sorted, by least point."""
+    def edge_orbits(self):
+        """The lifts' orbits on edges, merged with the parallel classes,
+        each sorted, by least edge."""
+        count = self.graph.edge_count
+        cycle = list(range(count))
+        for ids in self.classes.values():
+            for e, f in zip(ids, ids[1:] + ids[:1]):
+                cycle[e] = f
+        maps = [[d >> 1 for d in p[::2]] for p in self.lifts] + [cycle]
         placed = [False] * count
         orbits = []
         for x in range(count):
@@ -609,18 +554,6 @@ class GraphAut:
                             orbit.append(z)
                 orbits.append(tuple(sorted(orbit)))
         return orbits
-
-    def vertex_orbits(self):
-        return self._orbits(self.graph.vertex_count, self.vertex_gens)
-
-    def edge_orbits(self):
-        """The lifts' orbits on edges, merged with the parallel classes."""
-        cycle = list(range(self.graph.edge_count))
-        for ids in self.classes.values():
-            for e, f in zip(ids, ids[1:] + ids[:1]):
-                cycle[e] = f
-        maps = [[d >> 1 for d in p[::2]] for p in self.lifts]
-        return self._orbits(self.graph.edge_count, maps + [cycle])
 
     def is_vertex_transitive(self):
         return self.root_orbit == self.graph.vertex_count
@@ -688,52 +621,3 @@ def check_dart_isomorphism(a, b, images):
             return False
     return len(set(vertex_image.values())) == len(vertex_image)
 
-
-def cycle_basis(graph):
-    """Fundamental cycles of the non-tree edges over a breadth-first spanning tree.
-
-    Each basis element is the sorted tuple of edge ids whose symmetric
-    difference closes the cycle; a loop contributes the singleton of itself.
-    """
-    parent_edge = [None] * graph.vertex_count
-    order = [0]
-    seen = {0}
-    tree_edges = set()
-    queue = 0
-    while queue < len(order):
-        x = order[queue]
-        queue += 1
-        for k, (u, v) in enumerate(graph.edges):
-            if u == v:
-                continue
-            other = None
-            if u == x:
-                other = v
-            elif v == x:
-                other = u
-            if other is not None and other not in seen:
-                seen.add(other)
-                parent_edge[other] = k
-                tree_edges.add(k)
-                order.append(other)
-
-    def path_to_root(v):
-        out = set()
-        while parent_edge[v] is not None:
-            k = parent_edge[v]
-            out.add(k)
-            u, w = graph.edges[k]
-            v = u if w == v else w
-        return out
-
-    basis = []
-    for k, (u, v) in enumerate(graph.edges):
-        if k in tree_edges:
-            continue
-        cycle = {k} | (path_to_root(u) ^ path_to_root(v))
-        basis.append(tuple(sorted(cycle)))
-    return basis
-
-
-def cycle_space_rank(graph):
-    return len(cycle_basis(graph))

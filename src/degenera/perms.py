@@ -5,7 +5,7 @@ Products compose right-to-left: (a * b)(x) = a(b(x)).  Groups build, on
 demand, a deterministic stabilizer chain (Schreier-Sims with the base
 chosen greedily on first moved points, completed without recursion),
 which gives order, membership and pointwise stabilizers without
-randomness.  Elements are listed by one breadth-first walk (_image_walk).
+randomness.  No group lists its own elements.
 
 even_orbit_search builds no chain on the group's own points: it works on
 the image of the group on one orbit Ω, whose order it reads from a chain on
@@ -14,7 +14,7 @@ pass the cap), whose elements it walks breadth-first, and it lifts the
 image it chooses along a word in the generators.  CosetAction and
 verify_certificate re-check a certificate from the chain of the whole
 group, independently of that search, and so does pointwise_stabilizer; no
-other code path uses them.  Everything in this module is exact and
+command uses them.  Everything in this module is exact and
 reproducible: identical inputs yield identical outputs, including the
 certificate picked by even_orbit_search and the breadth-first order of
 every orbit.
@@ -52,20 +52,6 @@ class Perm:
     @classmethod
     def identity(cls, degree):
         return cls._unchecked(tuple(range(degree)))
-
-    @classmethod
-    def from_cycles(cls, degree, cycles):
-        """Build a permutation from disjoint cycles, e.g. from_cycles(4, [(0, 1, 2)])."""
-        images = list(range(degree))
-        seen = set()
-        for cyc in cycles:
-            for x in cyc:
-                if x in seen:
-                    raise ValueError("cycles are not disjoint at point %d" % x)
-                seen.add(x)
-            for i, x in enumerate(cyc):
-                images[x] = cyc[(i + 1) % len(cyc)]
-        return cls(images)
 
     @property
     def degree(self):
@@ -296,16 +282,6 @@ class PermGroup:
         """True when every generator of other lies in this group."""
         return other.degree == self.degree and all(g in self for g in other.generators)
 
-    def elements(self, cap=DEFAULT_ENUMERATION_CAP):
-        """All elements, breadth-first from the identity.  Refuses to exceed cap."""
-        n = self.order()
-        if n > cap:
-            raise EnumerationCapError(
-                "enumeration cap exceeded: group order %d > cap %d" % (n, cap)
-            )
-        gens = [g.images for g in self.generators] or [tuple(range(self.degree))]
-        return [Perm._unchecked(a) for a in _image_walk(gens)[0]]
-
     def orbit(self, point):
         """Orbit of a point, listed breadth-first with generators in order."""
         if not 0 <= point < self.degree:
@@ -344,16 +320,6 @@ class PermGroup:
             return self
         chain = _StabilizerChain(self.degree, self.generators, base_prefix=prefix)
         return PermGroup(self.degree, chain._gens_for(len(prefix)))
-
-
-def group_from_generators(generators, degree=None):
-    """PermGroup spanned by the generators; degree defaults to theirs."""
-    generators = list(generators)
-    if degree is None:
-        if not generators:
-            raise ValueError("degree required for an empty generating set")
-        degree = generators[0].degree
-    return PermGroup(degree, generators)
 
 
 class CosetAction:

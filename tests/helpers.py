@@ -1,21 +1,42 @@
-"""Independent oracles used across the test suite.
+"""Independent oracles and fixtures used across the test suite.
 
-Everything here is deliberately naive: brute-force closures, Sylvester
-determinants over Fractions, exhaustive dart-permutation filters, networkx
-vertex automorphisms with the orbit bound they give along a base,
-vertex and edge stabilizers from Schreier-Sims chains on a lifted action
-(darts, vertices and edges) built here from each generator's vertex and
-edge images, coset tables (for reconstruction and the even-orbit search),
-the explicit automorphism group (every parallel swap and loop flip as a dart
-permutation, then the lifts) and trial-division factorization.  None of it
-shares code with the package internals it checks.
+Everything here is deliberately naive: brute-force closures (which also
+list a group's elements), Sylvester determinants over Fractions,
+exhaustive dart-permutation filters, networkx vertex automorphisms with the
+orbit bound they give along a base, the vertex map a dart automorphism
+covers, vertex orbits from the vertex generators alone, vertex and edge
+stabilizers from Schreier-Sims chains on a lifted action (darts, vertices
+and edges) built here from each generator's vertex and edge images, coset
+tables (for reconstruction and the even-orbit search), the explicit
+automorphism group (every parallel swap and loop flip as a dart
+permutation, then the lifts), a breadth-first cycle basis (its rank is the
+genus) and trial-division factorization.  The fixtures are permutations
+from cycles, K_{a,b}, the graph file text of a graph and the quartic
+x^4 - x - 1.  None of it shares code with the package internals it checks.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+from degenera.frobenius import IntPoly
 from degenera.perms import Perm
+
+DEMO_QUARTIC = IntPoly((-1, -1, 0, 0, 1))
+
+
+def from_cycles(degree, cycles):
+    """The permutation with the given disjoint cycles, e.g. from_cycles(4, [(0, 1, 2)])."""
+    images = list(range(degree))
+    seen = set()
+    for cyc in cycles:
+        for x in cyc:
+            if x in seen:
+                raise ValueError("cycles are not disjoint at point %d" % x)
+            seen.add(x)
+        for i, x in enumerate(cyc):
+            images[x] = cyc[(i + 1) % len(cyc)]
+    return Perm(images)
 
 
 def compose_images(a, b):
@@ -44,6 +65,12 @@ def brute_closure(generators, limit=2 * 10**4):
             raise RuntimeError("closure exceeded limit %d" % limit)
         frontier = nxt
     return seen
+
+
+def group_elements(group, limit=2 * 10**4):
+    """Image tuples of every element of a PermGroup, by brute_closure."""
+    gens = [g.images for g in group.generators]
+    return brute_closure(gens or [tuple(range(group.degree))], limit)
 
 
 def brute_coset_orbit_sizes(g0, group_elements, subgroup_elements):
@@ -78,10 +105,9 @@ def exhaustive_dart_automorphisms(graph):
     for graphs with at most 8 darts."""
     n = graph.dart_count
     assert n <= 8
-    involution = graph.involution
     out = []
     for images in itertools.permutations(range(n)):
-        if any(images[involution[d]] != involution[images[d]] for d in range(n)):
+        if any(images[d ^ 1] != images[d] ^ 1 for d in range(n)):
             continue
         vmap = {}
         ok = True
@@ -211,11 +237,34 @@ def sympy_degree_pattern(coeffs, p):
     return tuple(sorted(degrees, reverse=True))
 
 
+def vertex_perm(graph, p):
+    """Vertex permutation covered by a dart automorphism p of the graph."""
+    images = [None] * graph.vertex_count
+    for d in range(graph.dart_count):
+        v = graph.vertex_of(d)
+        w = graph.vertex_of(p.images[d])
+        if images[v] is None:
+            images[v] = w
+        elif images[v] != w:
+            raise ValueError("dart permutation does not cover a vertex map")
+    if None in images:
+        raise ValueError("a vertex with no dart has no image under a dart permutation")
+    return Perm(images)
+
+
+def vertex_orbits(aut):
+    """Orbits of the vertex generators of a GraphAut, each sorted, by least vertex."""
+    from degenera.perms import PermGroup
+
+    gens = [Perm(s) for s in aut.vertex_gens]
+    return PermGroup(aut.graph.vertex_count, gens).orbits()
+
+
 def _lifted_stabilizer(aut, start, count, index):
     """Stabilizer of lifted point start + index, restricted back to the darts.
 
     The lifted group acts on darts 0..D-1, vertices from D and edges from
-    D + V; each generator's vertex images come from aut.vertex_perm and its
+    D + V; each generator's vertex images come from vertex_perm and its
     edge images from d >> 1 on the even darts.
     """
     from degenera.perms import PermGroup
@@ -229,7 +278,7 @@ def _lifted_stabilizer(aut, start, count, index):
         [
             Perm(
                 g.images
-                + tuple(darts + w for w in aut.vertex_perm(g).images)
+                + tuple(darts + w for w in vertex_perm(graph, g).images)
                 + tuple(darts + vertices + (d >> 1) for d in g.images[::2])
             )
             for g in aut.group.generators
@@ -331,10 +380,8 @@ def coset_gamma_dagger(cd):
     for d, rep in enumerate(dart_cosets.transversal):
         dart_vertex.append(vertex_cosets.coset_index(rep))
         by_edge.setdefault(edge_cosets.coset_index(rep), []).append(d)
-    involution = [None] * len(dart_vertex)
-    for a, b in by_edge.values():
-        involution[a], involution[b] = b, a
-    return DartGraph.from_darts(dart_vertex, involution, require_connected=False)
+    edges = [(dart_vertex[a], dart_vertex[b]) for a, b in by_edge.values()]
+    return DartGraph(vertex_cosets.coset_count, edges, require_connected=False)
 
 
 def coset_even_orbit_search(group, subgroup, point):
@@ -356,8 +403,8 @@ def coset_even_orbit_search(group, subgroup, point):
     points = [rep.images[point] for rep in action.transversal]
     omega = sorted(points)
     images = set()
-    for p in group.elements():
-        on_cosets = action.permutation(p).images
+    for p in group_elements(group):
+        on_cosets = action.permutation(Perm(p)).images
         moved = dict(zip(points, (points[j] for j in on_cosets)))
         images.add(tuple(moved[x] for x in omega))
     orders = {}
@@ -443,6 +490,70 @@ def random_connected_multigraph(rng, vertex_count, extra_edges, min_degree=None)
             v = short[0]
             edges.append((v, rng.randrange(vertex_count)))
     return DartGraph(vertex_count, edges)
+
+
+def complete_bipartite(a, b):
+    """K_{a,b} with part A on 0..a-1 and part B on a..a+b-1."""
+    from degenera.graphs import DartGraph
+
+    return DartGraph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def graph_text(graph):
+    """The graph in the plain text format that DartGraph.parse reads."""
+    lines = ["vertices %d" % graph.vertex_count]
+    lines.extend("edge %d %d" % (u, v) for u, v in graph.edges)
+    return "\n".join(lines) + "\n"
+
+
+def cycle_basis(graph):
+    """Fundamental cycles of the non-tree edges over a breadth-first spanning tree.
+
+    Each basis element is the sorted tuple of edge ids whose symmetric
+    difference closes the cycle; a loop contributes the singleton of itself.
+    """
+    parent_edge = [None] * graph.vertex_count
+    order = [0]
+    seen = {0}
+    tree_edges = set()
+    queue = 0
+    while queue < len(order):
+        x = order[queue]
+        queue += 1
+        for k, (u, v) in enumerate(graph.edges):
+            if u == v:
+                continue
+            other = None
+            if u == x:
+                other = v
+            elif v == x:
+                other = u
+            if other is not None and other not in seen:
+                seen.add(other)
+                parent_edge[other] = k
+                tree_edges.add(k)
+                order.append(other)
+
+    def path_to_root(v):
+        out = set()
+        while parent_edge[v] is not None:
+            k = parent_edge[v]
+            out.add(k)
+            u, w = graph.edges[k]
+            v = u if w == v else w
+        return out
+
+    basis = []
+    for k, (u, v) in enumerate(graph.edges):
+        if k in tree_edges:
+            continue
+        cycle = {k} | (path_to_root(u) ^ path_to_root(v))
+        basis.append(tuple(sorted(cycle)))
+    return basis
+
+
+def cycle_space_rank(graph):
+    return len(cycle_basis(graph))
 
 
 def petersen_graph():

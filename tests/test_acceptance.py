@@ -18,7 +18,6 @@ from degenera.certify import (
     stabilizer_tower,
 )
 from degenera.frobenius import (
-    DEMO_QUARTIC,
     census,
     degree_pattern,
     discriminant,
@@ -30,9 +29,7 @@ from degenera.graphs import (
     automorphism_group,
     check_dart_isomorphism,
     circulant_graph,
-    complete_bipartite,
     complete_graph,
-    cycle_space_rank,
     doubled_cycle,
     is_admissible,
     theta_loops,
@@ -40,12 +37,16 @@ from degenera.graphs import (
 from degenera.perms import (
     CosetAction,
     Perm,
+    PermGroup,
     even_orbit_search,
-    group_from_generators,
     verify_certificate,
 )
 from helpers import (
+    DEMO_QUARTIC,
     brute_closure,
+    complete_bipartite,
+    cycle_space_rank,
+    group_elements,
     random_connected_multigraph,
     sympy_degree_pattern,
     tower_groups,
@@ -113,22 +114,20 @@ def test_criterion_02_complete_graph_tower():
 
 def test_criterion_03_alternating_negative_control():
     with criterion(3, "order-2 cosets in the alternating group defeat the search"):
-        a4 = group_from_generators([Perm((1, 0, 3, 2)), Perm((1, 2, 0, 3))])
+        a4 = PermGroup(4, [Perm((1, 0, 3, 2)), Perm((1, 2, 0, 3))])
         assert a4.order() == 12
-        h = group_from_generators([Perm((1, 0, 3, 2))])
+        h = PermGroup(4, [Perm((1, 0, 3, 2))])
         assert h.order() == 2
         # h fixes no point of {0..3}, so the search runs on the faithful
         # action of A4 on its six cosets, where h fixes coset 0
         action = CosetAction(a4, h)
-        on_cosets = group_from_generators(
-            [action.permutation(g) for g in a4.generators]
-        )
+        on_cosets = PermGroup(6, [action.permutation(g) for g in a4.generators])
         assert on_cosets.order() == 12
         assert even_orbit_search(on_cosets, 0) is None
         # exhaustion cross-check: every one of the 12 elements leaves an
         # odd orbit on the six cosets
-        for g in a4.elements():
-            assert any(size % 2 for size in action.cyclic_orbit_sizes(g))
+        for g in group_elements(a4):
+            assert any(size % 2 for size in action.cyclic_orbit_sizes(Perm(g)))
 
 
 def test_criterion_04_clutching_roundtrip():
@@ -191,7 +190,10 @@ def test_criterion_07_census_densities():
             (3, 1): 8 / 24,
             (4,): 6 / 24,
         }
-        freqs = result.frequencies()
+        freqs = {
+            tuple(map(int, row["pattern"].split("."))): row["frequency"]
+            for row in result.to_dict()["patterns"]
+        }
         assert set(freqs) == set(expected)
         deviations = [abs(freqs[pat] - share) for pat, share in expected.items()]
         assert max(deviations) < 0.01
@@ -248,7 +250,7 @@ def test_criterion_10_group_engine_oracle():
                 for _ in range(rng.randint(2, 3))
             ]
             closure = brute_closure([p.images for p in gens])
-            group = group_from_generators(gens)
+            group = PermGroup(degree, gens)
             assert group.order() == len(closure)
             for point in range(degree):
                 stabilizer = group.pointwise_stabilizer((point,))

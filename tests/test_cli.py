@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import errno
 import io
 import itertools
@@ -22,24 +23,38 @@ from degenera.graphs import (
     automorphism_group,
     check_dart_isomorphism,
     circulant_graph,
-    complete_bipartite,
     complete_graph,
     doubled_cycle,
     theta_loops,
 )
+from helpers import complete_bipartite, graph_text
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    """Lift Python's limit on integer string conversion, then restore it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture(autouse=True)
 def reports_written(monkeypatch):
     """Every structured report a test here writes is checked byte for byte
-    against json.dumps(report, indent=2, sort_keys=True) and kept."""
+    against json.dumps(report, indent=2, sort_keys=True) and kept.  The
+    report is written under the interpreter's digit limit; json.dumps runs
+    with it lifted, so a report with a longer integer is checked too."""
     write = cli._json_text
     written = []
 
     def checked(value, *indent):
         text = write(value, *indent)
         if not indent:
-            assert text == json.dumps(value, indent=2, sort_keys=True)
+            with unlimited_digits():
+                assert text == json.dumps(value, indent=2, sort_keys=True)
             written.append(value)
         return text
 
@@ -115,7 +130,7 @@ class TestParsing:
     @pytest.mark.parametrize("flag", [[], ["--file"]])
     def test_genus_rejected_for_file_source(self, capsys, tmp_path, flag):
         path = tmp_path / "k5.graph"
-        path.write_text(complete_graph(5).to_text())
+        path.write_text(graph_text(complete_graph(5)))
         code, out, err = run_cli(capsys, "certify", *flag, str(path), "--genus", "3")
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith("error: --genus")
@@ -324,7 +339,7 @@ class TestAnalyze:
     def test_generator_count(self, capsys, tmp_path):
         g = complete_bipartite(4, 4)
         path = tmp_path / "k44.graph"
-        path.write_text(g.to_text())
+        path.write_text(graph_text(g))
         count = len(automorphism_group(g).group.generators)
         assert count <= 7
         code, report = structured(capsys, "graph", "analyze", str(path))
@@ -351,7 +366,7 @@ class TestAnalyze:
 
     def test_file_source_matches_family(self, capsys, tmp_path):
         path = tmp_path / "k5.graph"
-        path.write_text(complete_graph(5).to_text())
+        path.write_text(graph_text(complete_graph(5)))
         _, by_family = structured(capsys, "graph", "analyze", "--family", "k5")
         _, by_path = structured(capsys, "graph", "analyze", str(path))
         _, by_flag = structured(capsys, "graph", "analyze", "--file", str(path))
@@ -423,14 +438,14 @@ class TestCertify:
 
     def test_odd_degree_exits_one(self, capsys, tmp_path):
         path = tmp_path / "k4.graph"
-        path.write_text(complete_graph(4).to_text())
+        path.write_text(graph_text(complete_graph(4)))
         code, out, _ = run_cli(capsys, "certify", str(path))
         assert code == 1
         assert "status: SPLITS_TRIVIALLY" in out
 
     def test_not_certified_exits_one(self, capsys, tmp_path):
         path = tmp_path / "k34.graph"
-        path.write_text(complete_bipartite(3, 4).to_text())
+        path.write_text(graph_text(complete_bipartite(3, 4)))
         code, out, _ = run_cli(capsys, "certify", str(path))
         assert code == 1
         assert "status: SPLITS_TRIVIALLY" in out
@@ -475,7 +490,7 @@ class TestRoundtrip:
         graphs += [doubled_cycle(g) for g in range(4, 11)]
         path = tmp_path / "g.graph"
         for g in graphs:
-            path.write_text(g.to_text())
+            path.write_text(graph_text(g))
             code, report = structured(capsys, "clutch", "roundtrip", str(path))
             assert code == 0
             orbits = report["result"]["orbits"]
@@ -498,7 +513,7 @@ class TestRoundtrip:
 
     def test_non_transitive_rejected(self, capsys, tmp_path):
         path = tmp_path / "k34.graph"
-        path.write_text(complete_bipartite(3, 4).to_text())
+        path.write_text(graph_text(complete_bipartite(3, 4)))
         code, _, err = run_cli(capsys, "clutch", "roundtrip", str(path))
         assert code == 2
         assert err.startswith("error:")
@@ -679,6 +694,15 @@ class TestFrobenius:
         assert err.startswith("error: cannot parse ") and err.count("\n") == 1
         assert repr(poly) in err
 
+    @pytest.mark.parametrize("poly", ["x^{n}", "{n}x^2+1", "1,{n}"])
+    @pytest.mark.parametrize("command", ["census", "witness", "galois"])
+    def test_number_over_the_digit_limit_rejected(self, capsys, command, poly):
+        # int() would refuse it with Python's own message
+        poly = poly.format(n="9" * 5000)
+        code, out, err = run_cli(capsys, "frobenius", command, poly, "--bound", "100")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot parse a number of more than 4300 digits\n"
+
     @pytest.fixture
     def no_sieve(self, monkeypatch):
         def sieve(bound):
@@ -808,7 +832,7 @@ class TestClosedOutput:
 class TestReportWriter:
     def test_file_label_with_escaped_characters(self, capsys, tmp_path, reports_written):
         path = tmp_path / 'gr\u00e4ph \u2603 "q" \\ \t\x01\x1f.graph'
-        path.write_text(complete_graph(5).to_text())
+        path.write_text(graph_text(complete_graph(5)))
         for argv in (["graph", "analyze", str(path)], ["certify", "--file", str(path)],
                      ["clutch", "roundtrip", "--file", str(path)]):
             code, report = structured(capsys, *argv)
@@ -850,7 +874,7 @@ class TestEnumerationCap:
         # |Stab(v0)| = 720 > 10, but both branch orbits at v0 have odd size
         path = tmp_path / "rigid.graph"
         path.write_text(
-            DartGraph(3, [(0, 1)] + [(0, 2)] * 3 + [(1, 2)] * 5).to_text()
+            graph_text(DartGraph(3, [(0, 1)] + [(0, 2)] * 3 + [(1, 2)] * 5))
         )
         monkeypatch.setenv("DEGENERA_CAP", "10")
         code, out, err = run_cli(capsys, "certify", str(path))
@@ -924,7 +948,7 @@ class TestEnumerationCap:
 
         monkeypatch.setattr(perms, "_image_walk", walk)
         path = tmp_path / "k11.graph"
-        path.write_text(complete_graph(11).to_text())
+        path.write_text(graph_text(complete_graph(11)))
         code, out, err = run_cli(capsys, "certify", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: enumeration cap exceeded")
@@ -996,6 +1020,69 @@ class TestScale:
         )
         assert done.returncode == 0
         assert done.stdout == "degenera %s\n" % degenera.__version__
+
+
+class TestOrdersOverTheDigitLimit:
+    """The double cycle on n = 14,400 vertices has |Aut| = 2n * 2^n, which
+    has more decimal digits than Python converts by default.  Each command
+    prints every order in full while the limit stays in force."""
+
+    N = 14400
+
+    @pytest.fixture(scope="class")
+    def huge(self, tmp_path_factory):
+        """The graph file, and the decimal digits of |Aut|, |G2|, |G3| and
+        |G4| at vertex 0, converted under a lifted and restored limit."""
+        n = self.N
+        path = tmp_path_factory.mktemp("huge") / "double-cycle.graph"
+        path.write_text(graph_text(doubled_cycle(n + 1)))
+        with unlimited_digits():
+            orders = [str(k) for k in (2 * n << n, 2 << n, 1 << (n - 1), 1 << n)]
+        assert len(orders[0]) > sys.get_int_max_str_digits() == 4300
+        return str(path), orders
+
+    @pytest.mark.parametrize(
+        "argv", [("graph", "analyze"), ("certify",), ("clutch", "roundtrip")]
+    )
+    def test_text(self, capsys, huge, argv):
+        path, (g1, g2, g3, g4) = huge
+        code, out, err = run_cli(capsys, *argv, path)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        if argv == ("clutch", "roundtrip"):
+            assert (
+                "edge orbit 0 (28800 edges): tower %s/%s/%s/%s, n=14400 m=4 -> "
+                "14400 vertices 28800 edges, isomorphic: yes" % (g1, g2, g3, g4)
+            ) in lines
+            return
+        assert "|Aut| = %s" % g1 in lines
+        if argv == ("certify",):
+            assert "base vertex 0: |Stab| = %s, vertex orbit size 14400" % g2 in lines
+            assert (
+                "orbit (edge orbit 0, base edge 0): cosets 4, |G3| = %s, |G4| = %s"
+                % (g3, g4)
+            ) in lines
+
+    @pytest.mark.parametrize(
+        "argv", [("graph", "analyze"), ("certify",), ("clutch", "roundtrip")]
+    )
+    def test_structured(self, capsys, huge, argv, reports_written):
+        path, (g1, g2, g3, g4) = huge
+        code, out, err = run_cli(capsys, *argv, path, "--format", "structured")
+        assert (code, err) == (0, "")
+        assert len(reports_written) == 1
+        result = json.loads(out, parse_int=str)["result"]
+        if argv == ("graph", "analyze"):
+            assert result["aut_order"] == g1
+        elif argv == ("certify",):
+            assert result["aut_order"] == g1
+            assert result["vertex_stabilizer_order"] == g2
+            (orbit,) = result["orbits"]
+            assert (orbit["g3_order"], orbit["g4_order"]) == (g3, g4)
+        else:
+            (orbit,) = result["orbits"]
+            tower = orbit["tower"]
+            assert [tower[k] for k in ("g1", "g2", "g3", "g4")] == [g1, g2, g3, g4]
 
 
 def raise_runtime_error():

@@ -58,7 +58,7 @@ def test_certify_at_every_base_vertex(graphs):
     for g in graphs:
         for base in range(g.vertex_count):
             verdict = certify_nonsplit(g, base_vertex=base)
-            if not verdict.certificates():
+            if all(r.certificate is None for r in verdict.per_orbit):
                 continue
             g2 = vertex_stabilizer(automorphism_group(g), base)
             for report in verdict.per_orbit:
