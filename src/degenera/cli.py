@@ -479,13 +479,10 @@ def main(argv=None):
 def _json_text(value, indent="\n"):
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, from
     json's C string encoder, int.__repr__ and json's text of other scalars;
-    an int too long for int.__repr__ is written in full by _decimal."""
+    an int is written by _decimal, so also one too long for int.__repr__."""
     kind = type(value)
     if kind is int:
-        try:
-            return int.__repr__(value)
-        except ValueError:
-            return _decimal(value)
+        return _decimal(value)
     if kind is str:
         return encode_basestring_ascii(value)
     inner = indent + "  "
@@ -513,16 +510,13 @@ _CHUNK = 10**_CHUNK_DIGITS
 
 def _decimal(n):
     """int.__repr__(n), also for a nonnegative n of more digits than the
-    interpreter converts at once (a group order): then in chunks, lowest
-    first, each below the limit.  The limit itself stays in force."""
-    try:
-        return int.__repr__(n)
-    except ValueError:
-        chunks = []
-        while n >= _CHUNK:
-            n, low = divmod(n, _CHUNK)
-            chunks.append("%0*d" % (_CHUNK_DIGITS, low))
-        return int.__repr__(n) + "".join(reversed(chunks))
+    interpreter converts at once (a group order): its chunks are converted
+    lowest first, each below the limit.  The limit itself stays in force."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append("%0*d" % (_CHUNK_DIGITS, low))
+    return int.__repr__(n) + "".join(reversed(chunks))
 
 
 def _describe_input(info):

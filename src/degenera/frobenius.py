@@ -38,7 +38,8 @@ with its own primality and gcd(f, f') tests and the gcd count, so
 certificates and the test oracles re-check both the ramified primes and
 the trace count of the loop.  `parse_poly` refuses a degree above
 DEGREE_LIMIT before it builds a coefficient list, and a number of more
-than DIGIT_LIMIT digits before it converts any.
+digits than the interpreter's integer string conversion limit before it
+converts any.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from __future__ import annotations
 import marshal
 import os
 import re
+import sys
 from dataclasses import dataclass
 from itertools import islice
 
@@ -118,10 +120,6 @@ class IntPoly:
 
 
 _TERM = re.compile(r"^([+-]?)(\d*)(x)?(?:\^(\d+))?$")
-# int() refuses a longer run of digits (Python's default integer string
-# conversion limit), so parse_poly refuses it first with its own message
-DIGIT_LIMIT = 4300
-_LONG_NUMBER = re.compile(r"\d{%d}" % (DIGIT_LIMIT + 1))
 
 
 def parse_poly(text):
@@ -129,13 +127,16 @@ def parse_poly(text):
 
     An exponent above DEGREE_LIMIT, or more than DEGREE_LIMIT + 1 comma
     coefficients, is rejected before any coefficient list is built, and a
-    number of more than DIGIT_LIMIT digits before any is converted.
+    number that int() would refuse under the interpreter's integer string
+    conversion limit (sys.get_int_max_str_digits(), 0 for none) before any
+    is converted.
     """
     s = text.replace("−", "-").replace("*", "").replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
-    if _LONG_NUMBER.search(s):
-        raise ValueError("cannot parse a number of more than %d digits" % DIGIT_LIMIT)
+    limit = sys.get_int_max_str_digits()
+    if limit and any(len(run) > limit for run in re.findall(r"\d+", s)):
+        raise ValueError("cannot parse a number of more than %d digits" % limit)
     if "," in s:
         parts = s.split(",")
         if len(parts) > DEGREE_LIMIT + 1:

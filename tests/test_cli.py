@@ -30,15 +30,21 @@ from degenera.graphs import (
 from helpers import complete_bipartite, graph_text
 
 
+# the lowest integer string conversion limit Python accepts, and its default
+LOWEST_DIGIT_LIMIT = 640
+DEFAULT_DIGIT_LIMIT = sys.int_info.default_max_str_digits
+
+
 @contextlib.contextmanager
-def unlimited_digits():
-    """Lift Python's limit on integer string conversion, then restore it."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+def digit_limit(limit):
+    """Set Python's limit on integer string conversion (0 lifts it), then
+    restore the one in force before."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
     try:
         yield
     finally:
-        sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(before)
 
 
 @pytest.fixture(autouse=True)
@@ -53,7 +59,7 @@ def reports_written(monkeypatch):
     def checked(value, *indent):
         text = write(value, *indent)
         if not indent:
-            with unlimited_digits():
+            with digit_limit(0):
                 assert text == json.dumps(value, indent=2, sort_keys=True)
             written.append(value)
         return text
@@ -694,14 +700,29 @@ class TestFrobenius:
         assert err.startswith("error: cannot parse ") and err.count("\n") == 1
         assert repr(poly) in err
 
+    @pytest.mark.parametrize("limit", [LOWEST_DIGIT_LIMIT, DEFAULT_DIGIT_LIMIT])
     @pytest.mark.parametrize("poly", ["x^{n}", "{n}x^2+1", "1,{n}"])
     @pytest.mark.parametrize("command", ["census", "witness", "galois"])
-    def test_number_over_the_digit_limit_rejected(self, capsys, command, poly):
+    def test_number_over_the_digit_limit_rejected(self, capsys, command, poly, limit):
         # int() would refuse it with Python's own message
-        poly = poly.format(n="9" * 5000)
-        code, out, err = run_cli(capsys, "frobenius", command, poly, "--bound", "100")
-        assert (code, out) == (2, "")
-        assert err == "error: cannot parse a number of more than 4300 digits\n"
+        with digit_limit(limit):
+            long_poly = poly.format(n="9" * (limit + 1))
+            code, out, err = run_cli(
+                capsys, "frobenius", command, long_poly, "--bound", "100"
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: cannot parse a number of more than %d digits\n" % limit
+            # a number of exactly `limit` digits gets past the digit check
+            at_limit = poly.format(n="9" * limit)
+            code, out, err = run_cli(
+                capsys, "frobenius", command, at_limit, "--bound", "100"
+            )
+            assert "digits" not in err
+
+    def test_number_over_a_lifted_digit_limit_parsed(self):
+        with digit_limit(0):
+            poly = frobenius.parse_poly("1,%s" % ("9" * 5000))
+            assert poly.coeffs[1] == 10**5000 - 1
 
     @pytest.fixture
     def no_sieve(self, monkeypatch):
@@ -1025,9 +1046,15 @@ class TestScale:
 class TestOrdersOverTheDigitLimit:
     """The double cycle on n = 14,400 vertices has |Aut| = 2n * 2^n, which
     has more decimal digits than Python converts by default.  Each command
-    prints every order in full while the limit stays in force."""
+    prints every order in full while the limit stays in force, at the
+    default and at the lowest limit Python accepts."""
 
     N = 14400
+
+    @pytest.fixture(autouse=True, params=[LOWEST_DIGIT_LIMIT, DEFAULT_DIGIT_LIMIT])
+    def limit(self, request):
+        with digit_limit(request.param):
+            yield request.param
 
     @pytest.fixture(scope="class")
     def huge(self, tmp_path_factory):
@@ -1036,9 +1063,9 @@ class TestOrdersOverTheDigitLimit:
         n = self.N
         path = tmp_path_factory.mktemp("huge") / "double-cycle.graph"
         path.write_text(graph_text(doubled_cycle(n + 1)))
-        with unlimited_digits():
+        with digit_limit(0):
             orders = [str(k) for k in (2 * n << n, 2 << n, 1 << (n - 1), 1 << n)]
-        assert len(orders[0]) > sys.get_int_max_str_digits() == 4300
+        assert len(orders[0]) > DEFAULT_DIGIT_LIMIT
         return str(path), orders
 
     @pytest.mark.parametrize(
