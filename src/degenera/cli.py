@@ -512,11 +512,11 @@ def _decimal(n):
     """int.__repr__(n), also for a nonnegative n of more digits than the
     interpreter converts at once (a group order): its chunks are converted
     lowest first, each below the limit.  The limit itself stays in force."""
-    chunks = []
+    tail = ""
     while n >= _CHUNK:
         n, low = divmod(n, _CHUNK)
-        chunks.append("%0*d" % (_CHUNK_DIGITS, low))
-    return int.__repr__(n) + "".join(reversed(chunks))
+        tail = "%0*d" % (_CHUNK_DIGITS, low) + tail
+    return int.__repr__(n) + tail
 
 
 def _describe_input(info):
