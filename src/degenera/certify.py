@@ -11,7 +11,7 @@ the tower by orbit-stabilizer, |Stab(x)| = |G1| / |G1·x|, with no chain.
 
 Reconstruction rebuilds a graph from cosets alone (vertices G1/G2, edges
 G1/G4, darts G1/G3), read as the orbits of the base points; the walk maps
-it onto the original edge orbit, and that map is checked, not searched for.
+it onto the original edge orbit, and that map is checked.
 The certificate search looks for an element of G2 whose cyclic orbits on
 G2/G3 all have even size; such an element witnesses nonzero 2-torsion in
 the relative Brauer group of the corresponding global field extension,
@@ -22,8 +22,7 @@ v0 for certification, so the generators it found that fix v0, with the
 kernel, generate G2 and |G2| = |G1| / |orbit of v0|.  The search runs on
 those lifts and the kernel generators that move a dart at v0, which give
 G2's image on Ω (at most m! elements), and the walk of d0 applies the
-kernel implicitly.  Each entry point builds Aut once and passes it down,
-and no stabilizer chain is built on the darts.
+kernel implicitly.  Each entry point builds Aut once and passes it down.
 """
 
 from __future__ import annotations
@@ -178,19 +177,18 @@ class OrbitRoundtrip:
         return self.witness is not None
 
 
-def roundtrip_report(graph, base_vertex=0):
-    """Reconstruction check per edge orbit, from the given base vertex.
+def roundtrip_report(graph):
+    """Reconstruction check per edge orbit.
 
     Only meaningful for stable vertex-transitive graphs, where every edge
-    orbit reaches every vertex; each orbit uses its smallest edge at the
-    base vertex.  One automorphism group serves every tower.  The walk is
-    the isomorphism: dart 2j+s of the rebuilt graph, the s-th dart d of
+    orbit reaches every vertex and every vertex gives the same result up to
+    the witness's labels; each orbit uses its smallest edge at vertex 0.
+    One automorphism group serves every tower.  The walk is the
+    isomorphism: dart 2j+s of the rebuilt graph, the s-th dart d of
     tower.edge_darts[j], goes to dart 2i + (d & 1) of the subgraph, where
     edge d >> 1 is the i-th of the sorted orbit.  The witness is that map
     if check_dart_isomorphism accepts it, else None.
     """
-    if not (0 <= base_vertex < graph.vertex_count):
-        raise ValueError("base vertex %d out of range" % base_vertex)
     if not graph.is_stable():
         raise ValueError(_UNSTABLE)
     aut = automorphism_group(graph)
@@ -198,8 +196,8 @@ def roundtrip_report(graph, base_vertex=0):
         raise ValueError("reconstruction check needs a vertex-transitive graph")
     reports = []
     for idx, orbit in enumerate(aut.edge_orbits()):
-        e0 = min(k for k in orbit if base_vertex in graph.edges[k])
-        cd = stabilizer_tower(aut, base_vertex, e0)
+        e0 = min(k for k in orbit if 0 in graph.edges[k])
+        cd = stabilizer_tower(aut, 0, e0)
         rebuilt = gamma_dagger(cd)
         sub = orbit_subgraph(graph, orbit)
         place = {k: i for i, k in enumerate(orbit)}
@@ -290,11 +288,11 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
     splitness proof, so the negative verdict only reports that no
     certificate was found.
 
-    No stabilizer chain is built on the darts: |G2| = |G1| / |orbit of v0|
-    and |G3| = |G2| / m by orbit-stabilizer.  The generator search of Aut
-    is rooted at v0, so the generators it found that fix v0, with the
-    parallel swaps and loop flips, generate G2 itself.  The search runs on
-    those of them that can move a dart at v0, which give the same image.
+    |G2| = |G1| / |orbit of v0| and |G3| = |G2| / m by orbit-stabilizer.
+    The generator search of Aut is rooted at v0, so the generators it found
+    that fix v0, with the parallel swaps and loop flips, generate G2 itself.
+    The search runs on those of them that can move a dart at v0, which give
+    the same image.
     """
     if not graph.is_stable():
         raise ValueError("certification needs a stable graph (all degrees >= 3)")

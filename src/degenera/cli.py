@@ -63,6 +63,7 @@ from .frobenius import (
     find_even_witnesses,
     galois_cycle_witnesses,
     parse_poly,
+    pattern_text,
 )
 
 
@@ -233,10 +234,6 @@ def _graph_input(graph, label):
     return {"source": label, "vertices": graph.vertex_count, "edges": graph.edge_count}
 
 
-def _fmt_pattern(pat):
-    return ".".join(str(d) for d in pat)
-
-
 def _cmd_graph_analyze(args):
     graph, label = _load_graph(args)
     aut = automorphism_group(graph)
@@ -324,7 +321,7 @@ def _cmd_certify(args):
 
 def _cmd_roundtrip(args):
     graph, label = _load_graph(args)
-    reports = roundtrip_report(graph, base_vertex=args.base_vertex)
+    reports = roundtrip_report(graph)
     ok = all(r.ok for r in reports)
     result = {
         "ok": ok,
@@ -403,14 +400,14 @@ def _cmd_frobenius(args):
         result.update(cert.to_dict())
         lines = [
             "witness primes: %d, %d" % cert.primes,
-            "patterns: %s, %s" % tuple(_fmt_pattern(p) for p in cert.patterns),
+            "patterns: %s, %s" % tuple(pattern_text(p) for p in cert.patterns),
         ]
         return info, result, lines, 0
     patterns = galois_cycle_witnesses(poly, args.bound)
     certified = certifies_symmetric_group(patterns, poly.degree)
     result = {
         "degree": poly.degree,
-        "patterns": [_fmt_pattern(p) for p in sorted(patterns)],
+        "patterns": [pattern_text(p) for p in sorted(patterns)],
         "symmetric_group_certified": certified,
     }
     lines = [
@@ -428,7 +425,7 @@ def _yn(flag):
 _COMMANDS = {
     ("graph", "analyze"): (_cmd_graph_analyze, _SOURCE_OPTIONS),
     ("certify",): (_cmd_certify, _BASE_VERTEX_OPTIONS),
-    ("clutch", "roundtrip"): (_cmd_roundtrip, _BASE_VERTEX_OPTIONS),
+    ("clutch", "roundtrip"): (_cmd_roundtrip, _SOURCE_OPTIONS),
     ("frobenius", "census"): (_cmd_frobenius, _CENSUS_OPTIONS),
     ("frobenius", "witness"): (_cmd_frobenius, _WITNESS_OPTIONS),
     ("frobenius", "galois"): (_cmd_frobenius, _WITNESS_OPTIONS),

@@ -247,25 +247,11 @@ def _prem(a, b):
     return a
 
 
-def resultant(f, g):
-    """Res(f, g) over the integers by the subresultant remainder sequence."""
-    a = list(f.coeffs) if isinstance(f, IntPoly) else list(f)
-    b = list(g.coeffs) if isinstance(g, IntPoly) else list(g)
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    if not a or not b:
-        return 0
-    if len(a) == 1:
-        return a[0] ** (len(b) - 1)
-    if len(b) == 1:
-        return b[0] ** (len(a) - 1)
+def _subresultant(a, b):
+    """Res(a, b) over the integers by the subresultant remainder sequence,
+    for coefficient sequences without trailing zeros, deg a >= 1 and
+    deg a >= deg b >= 0: the case of f and f' in `discriminant`."""
     sign = 1
-    if len(a) < len(b):
-        if (len(a) - 1) % 2 == 1 and (len(b) - 1) % 2 == 1:
-            sign = -sign
-        a, b = b, a
     g_coef = 1
     h_coef = 1
     while len(b) > 1:
@@ -284,13 +270,13 @@ def resultant(f, g):
         if delta:
             h_coef = g_coef**delta // h_coef ** (delta - 1)
     da = len(a) - 1
-    return sign * (b[0] ** da // h_coef ** (da - 1) if da > 1 else b[0] ** da)
+    return sign * (b[0] ** da // h_coef ** (da - 1))
 
 
 def discriminant(f):
     """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), exact over the integers."""
     n = f.degree
-    res = resultant(f.coeffs, f.derivative_coeffs())
+    res = _subresultant(f.coeffs, f.derivative_coeffs())
     num = -res if (n * (n - 1) // 2) % 2 else res
     quot, rem = divmod(num, f.leading)
     assert rem == 0
@@ -310,19 +296,22 @@ def _monic_mod(coeffs, p):
     return c
 
 
-def _rem_mod(a, f, p):
-    """a mod monic f in GF(p)[x], in place; a's entries must lie in 0..p-1."""
+def _divmod_mod(a, f, p):
+    """(quotient, remainder) of a by monic f in GF(p)[x]; a's entries must
+    lie in 0..p-1, and a becomes the remainder, without trailing zeros."""
     n = len(f) - 1
+    quot = [0] * (len(a) - n)
     for k in range(len(a) - 1, n - 1, -1):
         c = a[k]
         if c:
             shift = k - n
+            quot[shift] = c
             for i in range(n):
                 a[shift + i] = (a[shift + i] - c * f[i]) % p
     del a[n:]
     while a and a[-1] == 0:
         a.pop()
-    return a
+    return quot, a
 
 
 def _gcd_mod(a, b, p):
@@ -342,21 +331,8 @@ def _gcd_mod(a, b, p):
         if b[-1] != 1:
             inv = pow(b[-1], -1, p)
             b = [c * inv % p for c in b]
-        a, b = b, _rem_mod(a, b, p)
+        a, b = b, _divmod_mod(a, b, p)[1]
     return a
-
-
-def _divexact_mod(a, b, p):
-    """Quotient a / b in GF(p)[x] for monic b; exact when b divides a."""
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        lead = a[shift + len(b) - 1] % p
-        out[shift] = lead
-        if lead:
-            for i in range(len(b)):
-                a[shift + i] = (a[shift + i] - lead * b[i]) % p
-    return out
 
 
 class _PackedRing:
@@ -408,7 +384,7 @@ class _PackedRing:
         )
         self.lomask = (1 << k * n) - 1
         self.hi_shift, self.q_shift = k * n, k * (n - 2)
-        mu = _divexact_mod([0] * (2 * n - 2) + [1], fbar, p)
+        mu = _divmod_mod([0] * (2 * n - 2) + [1], fbar, p)[0]
         self.mu = self.pack(mu)
         self.g = self.pack([-c % p for c in fbar[:-1]])
 
@@ -546,6 +522,15 @@ def degree_pattern(f, p):
     return _pattern_of_squarefree(fbar, p, _roots_by_gcd)
 
 
+def pattern_text(pattern):
+    """A degree pattern as text, its degrees joined by dots: "4.2.1"."""
+    return ".".join(map(str, pattern))
+
+
+def _all_even(pattern):
+    return not any(d % 2 for d in pattern)
+
+
 @dataclass(frozen=True)
 class CensusResult:
     poly: IntPoly
@@ -559,9 +544,7 @@ class CensusResult:
         return self.prime_count - len(self.ramified)
 
     def all_even_fraction(self):
-        even = sum(
-            cnt for pat, cnt in self.counts.items() if all(d % 2 == 0 for d in pat)
-        )
+        even = sum(cnt for pat, cnt in self.counts.items() if _all_even(pat))
         return even / self.unramified_count
 
     def to_dict(self):
@@ -572,7 +555,7 @@ class CensusResult:
             "ramified": list(self.ramified),
             "patterns": [
                 {
-                    "pattern": ".".join(str(d) for d in pat),
+                    "pattern": pattern_text(pat),
                     "count": cnt,
                     "frequency": cnt / self.unramified_count,
                 }
@@ -753,7 +736,7 @@ class WitnessCertificate:
     def verify(self):
         for p, pat in zip(self.primes, self.patterns):
             again = degree_pattern(self.poly, p)
-            if again != pat or again is None or any(d % 2 for d in again):
+            if again != pat or again is None or not _all_even(again):
                 return False
         return len(set(self.primes)) == 2
 
@@ -761,7 +744,7 @@ class WitnessCertificate:
         return {
             "poly": str(self.poly),
             "primes": list(self.primes),
-            "patterns": [".".join(str(d) for d in pat) for pat in self.patterns],
+            "patterns": [pattern_text(pat) for pat in self.patterns],
         }
 
 
@@ -785,7 +768,7 @@ def find_even_witnesses(f, bound=DEFAULT_WITNESS_BOUND):
     even = (
         (p, pat)
         for p, pat in zip(plist, map(pattern, plist))
-        if pat is not None and not any(d % 2 for d in pat)
+        if pat is not None and _all_even(pat)
     )
     found = list(islice(even, 2))
     if len(found) < 2:

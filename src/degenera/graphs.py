@@ -18,12 +18,11 @@ on every level, the search gives Aut, and the generators found before the
 root's level, with the kernel, generate its stabilizer; run only on the
 levels after a prefix of the base, it gives the prefix's pointwise
 stabilizer, which decides admissibility.  The search is an iterative
-first-solution backtrack on one graph; isomorphisms between two graphs are
-never searched for.  Vertex-transitivity comes from the root's orbit
-length, edge orbits from the lifts merged with the parallel classes, and
-the orbit of a dart from the lifts and the few kernel generators that move
-it, so no command builds the kernel's permutations: the group with every
-generator explicit is built only when read.
+first-solution backtrack on one graph.  Vertex-transitivity comes from the
+root's orbit length, edge orbits from the lifts merged with the parallel
+classes, and the orbit of a dart from the lifts and the few kernel
+generators that move it, so no command builds the kernel's permutations:
+the group with every generator explicit is built only when read.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import factorial
 
-from .perms import Perm, PermGroup
+from .perms import Perm, PermGroup, orbit_walk
 
 
 class DartGraph:
@@ -69,21 +68,11 @@ class DartGraph:
             raise ValueError("graph is not connected")
 
     def _check_connected(self):
-        if self.vertex_count == 1:
-            return True
         adjacency = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
             adjacency[u].append(v)
             adjacency[v].append(u)
-        seen = {0}
-        queue = [0]
-        while queue:
-            x = queue.pop()
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == self.vertex_count
+        return len(orbit_walk(0, adjacency.__getitem__)) == self.vertex_count
 
     @classmethod
     def parse(cls, text):
@@ -412,7 +401,7 @@ def _vertex_generators(graph, prefix, pinned=0):
             matcher.unassign(b)
             if sigma is not None:
                 gens.append(sigma)
-                orbit = set(PermGroup(len(base), map(Perm._unchecked, gens)).orbit(b))
+                orbit = set(orbit_walk(b, lambda x: [g[x] for g in gens]))
         orbit_length = len(orbit)
         order *= orbit_length
     return gens, order, orbit_length
@@ -522,14 +511,7 @@ class GraphAut:
 
     def orbit(self, dart):
         """The orbit of a dart, listed as group.orbit lists it."""
-        moves = self._moves
-        walk, seen = [dart], {dart}
-        for x in walk:
-            for y in moves[x]:
-                if y not in seen:
-                    seen.add(y)
-                    walk.append(y)
-        return walk
+        return orbit_walk(dart, self._moves.__getitem__)
 
     def edge_orbits(self):
         """The lifts' orbits on edges, merged with the parallel classes,
@@ -540,18 +522,14 @@ class GraphAut:
             for e, f in zip(ids, ids[1:] + ids[:1]):
                 cycle[e] = f
         maps = [[d >> 1 for d in p[::2]] for p in self.lifts] + [cycle]
+        images = list(zip(*maps))  # per edge, its image under each map
         placed = [False] * count
         orbits = []
         for x in range(count):
             if not placed[x]:
-                placed[x] = True
-                orbit = [x]
+                orbit = orbit_walk(x, images.__getitem__)
                 for y in orbit:
-                    for image in maps:
-                        z = image[y]
-                        if not placed[z]:
-                            placed[z] = True
-                            orbit.append(z)
+                    placed[y] = True
                 orbits.append(tuple(sorted(orbit)))
         return orbits
 

@@ -5,7 +5,7 @@ Products compose right-to-left: (a * b)(x) = a(b(x)).  Groups build, on
 demand, a deterministic stabilizer chain (Schreier-Sims with the base
 chosen greedily on first moved points, completed without recursion),
 which gives order, membership and pointwise stabilizers without
-randomness.  No group lists its own elements.
+randomness.
 
 even_orbit_search builds no chain on the group's own points: it works on
 the image of the group on one orbit Ω, whose order it reads from a chain on
@@ -129,6 +129,18 @@ class Perm:
         return "Perm(%r)" % list(self.images)
 
 
+def orbit_walk(start, step):
+    """The points reachable from start, breadth-first; step(x) lists the
+    neighbours of x in the order they are visited."""
+    walk, seen = [start], {start}
+    for x in walk:
+        for y in step(x):
+            if y not in seen:
+                seen.add(y)
+                walk.append(y)
+    return walk
+
+
 class _ChainLevel:
     __slots__ = ("point", "gens", "transversal", "order_list", "checked")
 
@@ -155,7 +167,7 @@ class _StabilizerChain:
         for b in base_prefix:
             self._new_level(b)
         for g in generators:
-            self._park(g)
+            self._park(g, 0)
         self._complete()
 
     def _new_level(self, point):
@@ -180,13 +192,16 @@ class _StabilizerChain:
         residue, _ = self.sift(p)
         return residue.is_identity()
 
-    def _park(self, g):
-        residue, i = self.sift(g)
+    def _park(self, g, start):
+        """Sift g from level start on and keep its residue, unless it is the
+        identity, at the level where it stuck; returns that level, or None."""
+        residue, i = self.sift(g, start)
         if residue.is_identity():
-            return
+            return None
         if i == len(self.levels):
             self._new_level(residue.first_moved())
         self.levels[i].gens.append(residue)
+        return i
 
     def _rebuild_orbit(self, i):
         lvl = self.levels[i]
@@ -234,15 +249,9 @@ class _StabilizerChain:
                 lvl.checked.add(key)
                 s = g * lvl.transversal[x]
                 residue = lvl.transversal[s.images[lvl.point]].inverse() * s
-                if residue.is_identity():
-                    continue
-                residue, j = self.sift(residue, i + 1)
-                if residue.is_identity():
-                    continue
-                if j == len(self.levels):
-                    self._new_level(residue.first_moved())
-                self.levels[j].gens.append(residue)
-                return j
+                j = self._park(residue, i + 1)
+                if j is not None:
+                    return j
         return None
 
     def order(self):
@@ -286,15 +295,8 @@ class PermGroup:
         """Orbit of a point, listed breadth-first with generators in order."""
         if not 0 <= point < self.degree:
             raise ValueError("point %d out of range 0..%d" % (point, self.degree - 1))
-        walk = [point]
-        seen = {point}
-        for x in walk:
-            for g in self.generators:
-                y = g.images[x]
-                if y not in seen:
-                    seen.add(y)
-                    walk.append(y)
-        return walk
+        gens = self.generators
+        return orbit_walk(point, lambda x: [g.images[x] for g in gens])
 
     def orbits(self, points=None):
         """Orbit partition of the given points (default all), sorted by minimum."""

@@ -74,9 +74,8 @@ def test_roundtrip_witnesses_on_vertex_transitive_graphs(graphs):
     transitive = [g for g in graphs if automorphism_group(g).is_vertex_transitive()]
     assert len(transitive) == 17
     for g in transitive:
-        for base in range(g.vertex_count):
-            for r in roundtrip_report(g, base):
-                assert r.ok
-                assert check_dart_isomorphism(r.reconstructed, r.subgraph, r.witness)
-                oracle = networkx_dart_isomorphism(r.reconstructed, r.subgraph)
-                assert check_dart_isomorphism(r.reconstructed, r.subgraph, oracle)
+        for r in roundtrip_report(g):
+            assert r.ok
+            assert check_dart_isomorphism(r.reconstructed, r.subgraph, r.witness)
+            oracle = networkx_dart_isomorphism(r.reconstructed, r.subgraph)
+            assert check_dart_isomorphism(r.reconstructed, r.subgraph, oracle)
