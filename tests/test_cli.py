@@ -413,13 +413,13 @@ class TestAnalyze:
         assert "genus: 0\n" in out and "edge orbits: 0 (sizes )\n" in out
 
     def test_base_vertex_is_not_an_option(self, capsys):
-        # analyze reports the whole graph, and a roundtrip runs only on a
-        # vertex-transitive one, so neither has a base vertex to take
-        for words in (("graph", "analyze"), ("clutch", "roundtrip")):
-            code, out, err = run_cli(capsys, *words, "--family", "k5", "--base-vertex", "3")
-            assert (code, out) == (2, "")
-            assert err.startswith("usage: degenera %s " % " ".join(words))
-            assert err.endswith("error: unrecognized arguments: --base-vertex\n")
+        # analyze reports the whole graph, so it has no base vertex to take
+        code, out, err = run_cli(
+            capsys, "graph", "analyze", "--family", "k5", "--base-vertex", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: degenera graph analyze ")
+        assert err.endswith("error: unrecognized arguments: --base-vertex\n")
 
 
 class TestCertify:
@@ -507,6 +507,18 @@ class TestRoundtrip:
                 assert check_dart_isomorphism(
                     rep.reconstructed, rep.subgraph, orbit["witness"]
                 )
+
+    def test_base_vertex_out_of_range(self, capsys):
+        # a roundtrip runs only on a vertex-transitive graph, where every
+        # vertex gives the same result, so no base vertex is taken: in range
+        # or out of it, the option is refused before any vertex is checked
+        for base in ("7", "-1", "3"):
+            code, out, err = run_cli(
+                capsys, "clutch", "roundtrip", "--family", "k5", "--base-vertex", base
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: degenera clutch roundtrip ")
+            assert err.endswith("error: unrecognized arguments: --base-vertex\n")
 
     def test_non_transitive_rejected(self, capsys, tmp_path):
         path = tmp_path / "k34.graph"
