@@ -37,6 +37,19 @@ FILES = {
     "rigid": (3, [(0, 1)] + [(0, 2)] * 3 + [(1, 2)] * 5),
     # all degrees 4, but only the loop-free middle vertex is fixed
     "loop-ends": (3, [(0, 1)] * 2 + [(1, 2)] * 2 + [(0, 0), (2, 2)]),
+    # degrees 4 and 3: admissibility pins vertices 0..4, and swapping 5 and 6
+    # still fixes the darts at vertex 0
+    "mixed": (
+        9,
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 5), (2, 6), (5, 6)]
+        + [(3, 7), (3, 8), (4, 7), (4, 8), (7, 8)],
+    ),
+    # degrees 4 and 3, admissible: the darts at the degree-4 side reach every vertex
+    "k3-4": (7, [(i, 3 + j) for i in range(3) for j in range(4)]),
+    # one branch orbit of 10 darts: |H| = 2^5 * 5! = 3840, while 10! exceeds the cap
+    "bouquet-5": (1, [(0, 0)] * 5),
+    # S10 on the ten darts at a vertex: 10! exceeds the cap, and certify refuses
+    "k11": (11, [(i, j) for i in range(11) for j in range(i + 1, 11)]),
 }
 
 GRAPH_COMMANDS = (("graph", "analyze"), ("certify",), ("clutch", "roundtrip"))
@@ -48,9 +61,12 @@ def commands():
     for name, genus in FAMILIES:
         source = ["--family", name] + ([] if genus is None else ["--genus", str(genus)])
         out += [list(words) + source for words in GRAPH_COMMANDS]
-    for name in FILES:
+    for name in ("k4-4", "rigid", "loop-ends"):
         path = "<tmp>/%s.graph" % name
         out += [list(words) + [path] for words in GRAPH_COMMANDS]
+    for name in ("mixed", "k3-4"):
+        out += [list(words) + ["<tmp>/%s.graph" % name] for words in GRAPH_COMMANDS[:2]]
+    out += [["certify", "<tmp>/%s.graph" % name] for name in ("bouquet-5", "k11")]
     for name in ("rigid", "loop-ends"):
         for base in range(3):
             out.append(["certify", "<tmp>/%s.graph" % name, "--base-vertex", str(base)])
