@@ -29,19 +29,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 from typing import Optional
 
-from .perms import (
-    DEFAULT_ENUMERATION_CAP,
-    OrbitCertificate,
-    PermGroup,
-    even_orbit_search,
-)
+from .perms import OrbitCertificate, PermGroup, decimal_text, even_orbit_search
 from .graphs import DartGraph, automorphism_group, check_dart_isomorphism
 
 CERTIFIED_NONSPLIT = "CERTIFIED_NONSPLIT"
 NOT_CERTIFIED = "NOT_CERTIFIED"
 SPLITS_TRIVIALLY = "SPLITS_TRIVIALLY"
+
+DEFAULT_ENUMERATION_CAP = 10**6
+
+
+class EnumerationCapError(RuntimeError):
+    """Raised when a search would enumerate more group elements than allowed."""
 
 
 class NoEndpointSwapError(ValueError):
@@ -292,7 +294,9 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
     The generator search of Aut is rooted at v0, so the generators it found
     that fix v0, with the parallel swaps and loop flips, generate G2 itself.
     The search runs on those of them that can move a dart at v0, which give
-    the same image.
+    the same image H on each even branch orbit Ω of m darts.  When m!
+    exceeds cap, |H| = |G2| / (automorphisms fixing Ω), and an H of more
+    than cap elements is refused before any search.
     """
     if not graph.is_stable():
         raise ValueError("certification needs a stable graph (all degrees >= 3)")
@@ -304,49 +308,49 @@ def certify_nonsplit(graph, base_vertex=0, cap=DEFAULT_ENUMERATION_CAP):
 
     admissible = is_admissible(aut)
     all_even = graph.all_degrees_even()
-    transitive = aut.is_vertex_transitive()
-    if not all_even:
-        return Verdict(
-            status=SPLITS_TRIVIALLY,
-            admissible=admissible,
-            all_degrees_even=False,
-            vertex_transitive=transitive,
-            base_vertex=base_vertex,
-            g1_order=g1_order,
-            g2_order=None,
-            n=None,
-            per_orbit=(),
-        )
-    n = aut.root_orbit
-    g2_order = g1_order // n
-    branches = PermGroup(graph.dart_count, aut.branch_generators())
-    edge_orbits = aut.edge_orbits()
-    edge_orbit_of = {k: idx for idx, orbit in enumerate(edge_orbits) for k in orbit}
+    n = g2_order = None
     reports = []
-    for dart_orbit in branches.orbits(points=graph.darts_at(base_vertex)):
-        d0 = dart_orbit[0]
-        e0 = graph.edge_of(d0)
-        m = len(dart_orbit)
-        cert = even_orbit_search(branches, d0, cap=cap)
-        reports.append(
-            OrbitSearchReport(
-                edge_orbit_index=edge_orbit_of[e0],
-                base_dart=d0,
-                base_edge=e0,
-                is_loop=graph.is_loop(e0),
-                dart_orbit=dart_orbit,
-                g3_order=g2_order // m,
-                g4_order=g1_order // len(edge_orbits[edge_orbit_of[e0]]),
-                m=m,
-                certificate=cert,
+    if all_even:
+        n = aut.root_orbit
+        g2_order = g1_order // n
+        branches = PermGroup(graph.dart_count, aut.branch_generators())
+        dart_orbits = branches.orbits(points=graph.darts_at(base_vertex))
+        for dart_orbit in dart_orbits:
+            m = len(dart_orbit)
+            if m % 2 == 0 and factorial(m) > cap:
+                size = g2_order // aut.fixing_order(dart_orbit)
+                if size > cap:
+                    raise EnumerationCapError(
+                        "enumeration cap exceeded: the image on an orbit of %d points "
+                        "has %s elements > cap %d" % (m, decimal_text(size), cap)
+                    )
+        edge_orbits = aut.edge_orbits()
+        edge_orbit_of = {k: idx for idx, orbit in enumerate(edge_orbits) for k in orbit}
+        for dart_orbit in dart_orbits:
+            d0 = dart_orbit[0]
+            e0 = graph.edge_of(d0)
+            m = len(dart_orbit)
+            reports.append(
+                OrbitSearchReport(
+                    edge_orbit_index=edge_orbit_of[e0],
+                    base_dart=d0,
+                    base_edge=e0,
+                    is_loop=graph.is_loop(e0),
+                    dart_orbit=dart_orbit,
+                    g3_order=g2_order // m,
+                    g4_order=g1_order // len(edge_orbits[edge_orbit_of[e0]]),
+                    m=m,
+                    certificate=even_orbit_search(branches, d0),
+                )
             )
-        )
-    certified = admissible and any(r.certificate is not None for r in reports)
+    status = NOT_CERTIFIED if all_even else SPLITS_TRIVIALLY
+    if admissible and any(r.certificate is not None for r in reports):
+        status = CERTIFIED_NONSPLIT
     return Verdict(
-        status=CERTIFIED_NONSPLIT if certified else NOT_CERTIFIED,
+        status=status,
         admissible=admissible,
-        all_degrees_even=True,
-        vertex_transitive=transitive,
+        all_degrees_even=all_even,
+        vertex_transitive=aut.is_vertex_transitive(),
         base_vertex=base_vertex,
         g1_order=g1_order,
         g2_order=g2_order,

@@ -42,7 +42,7 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import __version__
-from .perms import DEFAULT_ENUMERATION_CAP, EnumerationCapError
+from .perms import decimal_text
 from .graphs import (
     DartGraph,
     FAMILY_NAMES,
@@ -52,6 +52,8 @@ from .graphs import (
 )
 from .certify import (
     CERTIFIED_NONSPLIT,
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
     certify_nonsplit,
     roundtrip_report,
 )
@@ -258,7 +260,7 @@ def _cmd_graph_analyze(args):
         "degrees: %s" % " ".join(map(str, result["degrees"])),
         "stable: %s" % _yn(stable),
         "all degrees even: %s" % _yn(result["all_degrees_even"]),
-        "|Aut| = %s" % _decimal(aut.order),
+        "|Aut| = %s" % decimal_text(aut.order),
         "generators: %d" % result["aut_generators"],
         "vertex-transitive: %s" % _yn(result["vertex_transitive"]),
         "edge orbits: %d (sizes %s)"
@@ -283,12 +285,12 @@ def _cmd_certify(args):
         "admissible: %s" % _yn(verdict.admissible),
         "all degrees even: %s" % _yn(verdict.all_degrees_even),
         "vertex-transitive: %s" % _yn(verdict.vertex_transitive),
-        "|Aut| = %s" % _decimal(verdict.g1_order),
+        "|Aut| = %s" % decimal_text(verdict.g1_order),
     ]
     if verdict.g2_order is not None:
         lines.append(
             "base vertex %d: |Stab| = %s, vertex orbit size %d"
-            % (verdict.base_vertex, _decimal(verdict.g2_order), verdict.n)
+            % (verdict.base_vertex, decimal_text(verdict.g2_order), verdict.n)
         )
     for rep in verdict.per_orbit:
         lines.append(
@@ -298,8 +300,8 @@ def _cmd_certify(args):
                 rep.base_edge,
                 ", loop" if rep.is_loop else "",
                 rep.m,
-                _decimal(rep.g3_order),
-                _decimal(rep.g4_order),
+                decimal_text(rep.g3_order),
+                decimal_text(rep.g4_order),
             )
         )
         if rep.certificate is None:
@@ -353,7 +355,7 @@ def _cmd_roundtrip(args):
             % (
                 r.edge_orbit_index,
                 len(r.edge_orbit),
-                "/".join(map(_decimal, t.orders())),
+                "/".join(map(decimal_text, t.orders())),
                 t.n,
                 t.m,
                 r.reconstructed.vertex_count,
@@ -476,10 +478,10 @@ def main(argv=None):
 def _json_text(value, indent="\n"):
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, from
     json's C string encoder, int.__repr__ and json's text of other scalars;
-    an int is written by _decimal, so also one too long for int.__repr__."""
+    an int is written by decimal_text, so also one too long for int.__repr__."""
     kind = type(value)
     if kind is int:
-        return _decimal(value)
+        return decimal_text(value)
     if kind is str:
         return encode_basestring_ascii(value)
     inner = indent + "  "
@@ -497,23 +499,6 @@ def _json_text(value, indent="\n"):
     if not value:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
-
-
-# remainders mod this power of ten have at most 600 digits, which
-# int.__repr__ converts under any digit limit (the lowest is 640)
-_CHUNK_DIGITS = 600
-_CHUNK = 10**_CHUNK_DIGITS
-
-
-def _decimal(n):
-    """int.__repr__(n), also for a nonnegative n of more digits than the
-    interpreter converts at once (a group order): its chunks are converted
-    lowest first, each below the limit.  The limit itself stays in force."""
-    tail = ""
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        tail = "%0*d" % (_CHUNK_DIGITS, low) + tail
-    return int.__repr__(n) + tail
 
 
 def _describe_input(info):

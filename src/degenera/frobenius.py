@@ -216,35 +216,18 @@ def is_prime(n):
 
 
 def _prem(a, b):
-    """Pseudo-remainder of a by b: lc(b)^(deg a - deg b + 1) * a mod b.
-
-    Each elimination step scales by lc(b) once; the loop can terminate in
-    fewer than deg a - deg b + 1 steps when leading terms cancel, so the
-    remaining power of lc(b) is applied at the end to match the exact
-    classical definition (which the subresultant divisions rely on).
-    """
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    db = len(b) - 1
-    lb = b[-1]
-    scale_left = len(a) - db
-    while a and len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        lead = a[-1]
-        shift = len(a) - 1 - db
-        a = [c * lb for c in a]
-        for i in range(db + 1):
-            a[shift + i] -= lead * b[i]
-        scale_left -= 1
-        while a and a[-1] == 0:
-            a.pop()
-    if scale_left > 0 and a:
-        factor = lb**scale_left
-        a = [c * factor for c in a]
-    return a
+    """Pseudo-remainder of a by b, lc(b)^(deg a - deg b + 1) * a mod b, for
+    deg a >= deg b: that many elimination steps, each scaling by lc(b)."""
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    for shift in range(len(a) - 1 - db, -1, -1):
+        lead = r.pop()
+        r = [c * lb for c in r]
+        for i in range(db):
+            r[shift + i] -= lead * b[i]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
 
 
 def _subresultant(a, b):

@@ -17,7 +17,8 @@ lengths give |Aut| with no stabilizer chain.  Rooted at one vertex and run
 on every level, the search gives Aut, and the generators found before the
 root's level, with the kernel, generate its stabilizer; run only on the
 levels after a prefix of the base, it gives the prefix's pointwise
-stabilizer, which decides admissibility.  The search is an iterative
+stabilizer, which with the kernel counts the automorphisms fixing a set of
+darts (GraphAut.fixing_order).  The search is an iterative
 first-solution backtrack on one graph.  Vertex-transitivity comes from the
 root's orbit length, edge orbits from the lifts merged with the parallel
 classes, and the orbit of a dart from the lifts and the few kernel
@@ -468,9 +469,9 @@ class GraphAut:
 
     def _dart_perms(self, kernel, lifts):
         """The kernel generators as dart permutations, then the lifts."""
-        gens = []
+        gens, identity = [], tuple(range(self.graph.dart_count))
         for transpositions in kernel:
-            images = list(range(self.graph.dart_count))
+            images = list(identity)  # shares the identity's int objects
             for x, y in transpositions:
                 images[x], images[y] = y, x
             gens.append(tuple(images))
@@ -536,6 +537,30 @@ class GraphAut:
     def is_vertex_transitive(self):
         return self.root_orbit == self.graph.vertex_count
 
+    def fixing_order(self, darts):
+        """The number of automorphisms that fix every listed dart.
+
+        Such an automorphism fixes the darts' edges and their ends.  Over
+        each vertex automorphism fixing the ends, the canonical lift fixes
+        every edge between them, so the count is the vertex search pinned
+        at the ends times the kernel on the edges with no listed dart.
+        """
+        edges = {d >> 1 for d in darts}
+        ends = sorted({w for e in edges for w in self.graph.edges[e]})
+        pinned = _vertex_generators(self.graph, ends, len(ends))[1]
+        return pinned * _kernel_order(self.classes, edges)
+
+
+def _kernel_order(classes, fixed):
+    """The order of the kernel of the vertex action on the edges not in
+    fixed, which permutes the f such edges of a class (f!) and flips them
+    too if they are loops (f! 2^f)."""
+    order = 1
+    for (u, v), edge_ids in classes.items():
+        f = sum(e not in fixed for e in edge_ids)
+        order *= factorial(f) << (f if u == v else 0)
+    return order
+
 
 def automorphism_group(graph, root=0):
     """The full automorphism group of the graph, acting on darts.
@@ -543,18 +568,14 @@ def automorphism_group(graph, root=0):
     The generator search is rooted at the vertex root, so the returned
     GraphAut also carries the length of its orbit.  Its order is the number
     of vertex automorphisms times the order of the kernel of the vertex
-    action, which permutes each class of m parallel edges (m!) and each
-    class of k loops at a vertex, flipping loops too (k! 2^k).  Nothing is
-    cached: a caller passes the result on.
+    action.  Nothing is cached: a caller passes the result on.
     """
     if not 0 <= root < graph.vertex_count:
         raise ValueError("root vertex %d out of range" % root)
     classes = graph.parallel_classes()
     vertex_gens, order, root_orbit = _vertex_generators(graph, (root,))
     lifts = [tuple(_lift_vertex_map(graph, sigma, classes)) for sigma in vertex_gens]
-    for (u, v), edge_ids in classes.items():
-        k = len(edge_ids)
-        order *= factorial(k) << (k if u == v else 0)
+    order *= _kernel_order(classes, ())
     return GraphAut(graph, classes, order, vertex_gens, lifts, root, root_orbit)
 
 
@@ -563,26 +584,18 @@ def is_admissible(aut):
 
     Takes the GraphAut of a stable graph.  All degrees >= 4 make it
     admissible (the dart action is faithful), none make it so iff Aut is
-    trivial.  Else, with W those of degree >= 4 and P = W plus neighbours,
-    an element fixing the darts at W lifts a vertex automorphism fixing P,
-    times a kernel element moving only parallel classes with no endpoint in
-    W: a loop or two parallel edges there, or a search hit after P, break it.
+    trivial; else it is so iff only the identity fixes those darts.
     """
     graph = aut.graph
     if not graph.is_stable():
         raise ValueError("admissibility needs minimum degree 3")
-    heavy = {v for v in range(graph.vertex_count) if graph.degree(v) >= 4}
-    if len(heavy) == graph.vertex_count:
+    degrees = graph.degrees()
+    if min(degrees) >= 4:
         return True
-    if not heavy:
+    if max(degrees) < 4:
         return aut.order == 1
-    pinned = set(heavy)
-    for (u, v), edge_ids in aut.classes.items():
-        if u in heavy or v in heavy:
-            pinned.update((u, v))
-        elif u == v or len(edge_ids) > 1:
-            return False
-    return not _vertex_generators(graph, sorted(pinned), len(pinned))[0]
+    heavy = [d for d in range(graph.dart_count) if degrees[graph.vertex_of(d)] >= 4]
+    return aut.fixing_order(heavy) == 1
 
 
 def check_dart_isomorphism(a, b, images):

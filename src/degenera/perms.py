@@ -5,16 +5,14 @@ Products compose right-to-left: (a * b)(x) = a(b(x)).  Groups build, on
 demand, a deterministic stabilizer chain (Schreier-Sims with the base
 chosen greedily on first moved points, completed without recursion),
 which gives order, membership and pointwise stabilizers without
-randomness.
+randomness; no command builds one.
 
-even_orbit_search builds no chain on the group's own points: it works on
-the image of the group on one orbit Ω, whose order it reads from a chain on
-the |Ω| points only when |Ω|! exceeds the cap (otherwise the image cannot
-pass the cap), whose elements it walks breadth-first, and it lifts the
-image it chooses along a word in the generators.  CosetAction and
-verify_certificate re-check a certificate from the chain of the whole
-group, independently of that search, and so does pointwise_stabilizer; no
-command uses them.  Everything in this module is exact and
+even_orbit_search works on the image of the group on one orbit Ω, whose
+elements it walks breadth-first, and lifts the image it chooses along a
+word in the generators; the caller bounds the size of that image.
+CosetAction and verify_certificate re-check a certificate from the chain
+of the whole group, independently of that search, and so does
+pointwise_stabilizer.  Everything in this module is exact and
 reproducible: identical inputs yield identical outputs, including the
 certificate picked by even_orbit_search and the breadth-first order of
 every orbit.
@@ -23,13 +21,7 @@ every orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, lcm
-
-DEFAULT_ENUMERATION_CAP = 10**6
-
-
-class EnumerationCapError(RuntimeError):
-    """Raised when an operation would enumerate more group elements than allowed."""
+from math import lcm
 
 
 class Perm:
@@ -416,27 +408,18 @@ def _image_walk(generators):
     return elements, parents
 
 
-def _best_image(group, point, cap):
+def _best_image(group, point):
     """The image on Ω = orbit(point) that even_orbit_search certifies with.
 
     Returns (Ω as a sorted tuple, the image as a permutation of positions
     in Ω, the generator indices whose product lifts it, outermost first),
-    or None when no image has only even cycles.  Raises
-    EnumerationCapError before the walk when the image has more than cap
-    elements.
+    or None when no image has only even cycles.
     """
     orbit = tuple(sorted(group.orbit(point)))
     if len(orbit) % 2:
         return None
     position = {x: i for i, x in enumerate(orbit)}
     on_orbit = [tuple(position[g.images[x]] for x in orbit) for g in group.generators]
-    if factorial(len(orbit)) > cap:
-        size = PermGroup(len(orbit), map(Perm._unchecked, on_orbit)).order()
-        if size > cap:
-            raise EnumerationCapError(
-                "enumeration cap exceeded: the image on an orbit of %d points has "
-                "%d elements > cap %d" % (len(orbit), size, cap)
-            )
     elements, parents = _image_walk(on_orbit)
     home = position[point]
     orders = []
@@ -466,31 +449,28 @@ def _best_image(group, point, cap):
     return orbit, elements[best], word
 
 
-def even_orbit_search(group, point, cap=DEFAULT_ENUMERATION_CAP):
+def even_orbit_search(group, point):
     """Search for an element whose cycles on the orbit Ω of point all have even length.
 
-    Ω is the coset space group/Stab(point), so an element's cycle lengths
-    on Ω, fixed points included, are its cyclic orbit sizes on those
-    cosets, and whether they are all even depends only on the element's
-    image in the action on Ω.  An odd |Ω| leaves an odd cycle under every
-    element and ends the search at once.  Otherwise the image of the group
-    on Ω (at most |Ω|! elements) is walked breadth-first, keeping one word
-    in the generators per image element; when |Ω|! exceeds cap, the order
-    of the image is read first from a stabilizer chain on the |Ω| points,
-    and an image larger than cap is refused before the walk.  Image
-    elements are ranked by the rule: first those whose order is a power of
-    two that no image element fixing point has (such an element fixes no
-    point of Ω, so its cycles are all even), then by increasing order, then
-    by the image tuple.  The best one with only even cycles has 2-power order, since
-    the power of an image that keeps only its 2-part has even cycles too
-    and ranks no later.  It is lifted by multiplying along its word to
-    some g in the group, and the certificate is g^k, where k is the odd
-    part of the order n of g: an odd power keeps every 2-power cycle on Ω,
-    so g^k has the cycle lengths of the chosen image there, and its order
-    is n & -n, the 2-part of n.  Returns an OrbitCertificate, or None when
-    no image element has only even cycles.
+    Ω is the coset space group/Stab(point), so an element's cycle lengths on Ω,
+    fixed points included, are its cyclic orbit sizes on those cosets, and
+    whether they are all even depends only on the element's image in the action
+    on Ω.  An odd |Ω| leaves an odd cycle under every element and ends the
+    search at once.  Otherwise the image of the group on Ω (at most |Ω|!
+    elements) is walked breadth-first, keeping one word in the generators per
+    image element.  Image elements are ranked by the rule: first those whose
+    order is a power of two that no image element fixing point has (such an
+    element fixes no point of Ω, so its cycles are all even), then by
+    increasing order, then by the image tuple.  The best one with only even
+    cycles has 2-power order, since the power of an image that keeps only its
+    2-part has even cycles too and ranks no later.  It is lifted by multiplying
+    along its word to some g in the group, and the certificate is g^k, where k
+    is the odd part of the order n of g: an odd power keeps every 2-power cycle
+    on Ω, so g^k has the cycle lengths of the chosen image there, and its order
+    is n & -n, the 2-part of n.  Returns an OrbitCertificate, or None when no
+    image element has only even cycles.
     """
-    found = _best_image(group, point, cap)
+    found = _best_image(group, point)
     if found is None:
         return None
     _, image, word = found
@@ -502,6 +482,23 @@ def even_orbit_search(group, point, cap=DEFAULT_ENUMERATION_CAP):
     return OrbitCertificate(
         element=g ** (n // (n & -n)), element_order=n & -n, orbit_sizes=tuple(sizes)
     )
+
+
+# remainders mod this power of ten have at most 600 digits, which
+# int.__repr__ converts under any digit limit (the lowest is 640)
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def decimal_text(n):
+    """int.__repr__(n), also for a nonnegative n of more digits than the
+    interpreter converts at once (a group order): its chunks are converted
+    lowest first, each below the limit.  The limit itself stays in force."""
+    tail = ""
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        tail = "%0*d" % (_CHUNK_DIGITS, low) + tail
+    return int.__repr__(n) + tail
 
 
 def verify_certificate(cert, group, subgroup):

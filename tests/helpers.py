@@ -329,6 +329,16 @@ def explicit_root_stabilizer(aut):
     return PermGroup(aut.graph.dart_count, explicit_kernel(aut.graph) + lifts)
 
 
+def image_order(group, orbit):
+    """The order of a PermGroup's image on one of its orbits, from a
+    Schreier-Sims chain on the orbit's points."""
+    from degenera.perms import PermGroup
+
+    position = {x: i for i, x in enumerate(orbit)}
+    images = [Perm([position[g.images[x]] for x in orbit]) for g in group.generators]
+    return PermGroup(len(orbit), images).order()
+
+
 def vertex_stabilizer(aut, v):
     """G2 = Stab(v) from a Schreier-Sims chain on the lifted points pinned at v."""
     return _lifted_stabilizer(aut, aut.graph.dart_count, aut.graph.vertex_count, v)

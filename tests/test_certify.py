@@ -7,6 +7,7 @@ from degenera.certify import (
     CERTIFIED_NONSPLIT,
     NOT_CERTIFIED,
     SPLITS_TRIVIALLY,
+    EnumerationCapError,
     NoEndpointSwapError,
     certify_nonsplit,
     gamma_dagger,
@@ -24,9 +25,7 @@ from degenera.graphs import (
     theta_loops,
 )
 from degenera.perms import (
-    DEFAULT_ENUMERATION_CAP,
     CosetAction,
-    EnumerationCapError,
     Perm,
     PermGroup,
     _best_image,
@@ -43,6 +42,7 @@ from helpers import (
     explicit_root_stabilizer,
     graph_text,
     group_elements,
+    image_order,
     networkx_dart_isomorphism,
     odd_powers,
     petersen_graph,
@@ -279,17 +279,29 @@ class TestChainCount:
         assert len(roundtrip_report(theta_loops())) == 2
 
     def test_certify_builds_no_edge_or_admissibility_chain(self, monkeypatch):
-        # at the default cap no chain is built on a branch orbit of up to 9
-        # darts, whose image has at most 9! < cap elements; none on the darts
-        # or the lifted points
+        # at the default cap no chain is built, neither on a branch orbit of
+        # up to 9 darts, whose image has at most 9! < cap elements, nor on
+        # the 10 darts of the 5-loop bouquet or of a vertex of K11, where
+        # |H| is |G2| over the automorphisms fixing the orbit; none on the
+        # darts or the lifted points
         bouquet = DartGraph(1, [(0, 0)] * 4)
         for g in (complete_graph(5), complete_bipartite(4, 4), doubled_cycle(11),
                   theta_loops(), rigid_fixture(), bouquet):
             assert self.chains_built(monkeypatch, certify_nonsplit, g) == []
             assert max(r.m for r in certify_nonsplit(g).per_orbit) <= 9
         assert [r.m for r in certify_nonsplit(bouquet).per_orbit] == [8]
-        # with a cap between |H| and m!, the order of the image H on each
-        # even branch orbit of m darts is read from one chain on its m points
+        bouquet5 = DartGraph(1, [(0, 0)] * 5)
+        assert self.chains_built(monkeypatch, certify_nonsplit, bouquet5) == []
+        assert certify_nonsplit(bouquet5).status == CERTIFIED_NONSPLIT
+
+        def refused(graph, cap=10**6):
+            with pytest.raises(EnumerationCapError, match="elements > cap %d$" % cap):
+                certify_nonsplit(graph, cap=cap)
+
+        assert self.chains_built(monkeypatch, refused, complete_graph(11)) == []
+        # nor with a cap between |H| and m! on each even branch orbit of m
+        # darts, with the verdict of the default cap, nor with a cap below
+        # |H|, which is refused
         for g in (circulant_graph(7), doubled_cycle(11), DartGraph(1, [(0, 0)] * 2),
                   bouquet):
             verdict = certify_nonsplit(g)
@@ -304,9 +316,10 @@ class TestChainCount:
             )
             assert cap < min(math.factorial(r.m) for r in even)
             run = lambda graph: certify_nonsplit(graph, cap=cap)
-            built = self.chains_built(monkeypatch, run, g)
-            assert sorted(built) == sorted((r.m, ()) for r in even)
+            assert self.chains_built(monkeypatch, run, g) == []
             assert run(g) == verdict
+            below = lambda graph: refused(graph, cap - 1)
+            assert self.chains_built(monkeypatch, below, g) == []
 
     def test_analyze_builds_no_chain(self, monkeypatch, capsys, tmp_path):
         from degenera.cli import main
@@ -340,9 +353,8 @@ class TestChainCount:
             path.write_text(graph_text(g))
             codes = []
             run = lambda graph: codes.append(main(["graph", "analyze", str(path)]))
-            built = self.chains_built(monkeypatch, run, g)
-            built += self.chains_built(monkeypatch, certify_nonsplit, g)
-            assert all(degree < g.dart_count for degree, _ in built)
+            assert self.chains_built(monkeypatch, run, g) == []
+            assert self.chains_built(monkeypatch, certify_nonsplit, g) == []
             assert codes == [0]
         capsys.readouterr()
 
@@ -452,7 +464,7 @@ class TestEvenOrbitSearchOracle:
                     continue
                 found += 1
                 image, sizes = expected
-                orbit, chosen, _ = _best_image(branches, d0, DEFAULT_ENUMERATION_CAP)
+                orbit, chosen, _ = _best_image(branches, d0)
                 assert orbit == dart_orbit
                 assert tuple(orbit[i] for i in chosen) == image
                 assert cert.orbit_sizes == sizes
@@ -464,6 +476,49 @@ class TestEvenOrbitSearchOracle:
         assert found >= 30
 
 
+class TestFixingOrderOracle:
+    """GraphAut.fixing_order against the explicit group's chain pinned at
+    the same darts: each branch orbit at every vertex, where |G2| over it is
+    the order of G2's image on the orbit, the darts at the vertices of
+    degree >= 4, every single dart and the empty set."""
+
+    def check(self, g):
+        aut = automorphism_group(g)
+        group = explicit_group(aut)
+        fixing = lambda darts: group.pointwise_stabilizer(darts).order()
+        assert aut.fixing_order(()) == aut.order == group.order()
+        for d in range(g.dart_count):
+            assert aut.fixing_order((d,)) == fixing((d,))
+        heavy = [d for d in range(g.dart_count) if g.degree(g.vertex_of(d)) >= 4]
+        assert aut.fixing_order(heavy) == fixing(heavy)
+        for v in range(g.vertex_count):
+            stabilizer = explicit_root_stabilizer(automorphism_group(g, v))
+            g2_order = stabilizer.order()
+            for orbit in stabilizer.orbits(points=g.darts_at(v)):
+                count = aut.fixing_order(orbit)
+                assert count == fixing(orbit)
+                assert g2_order // count == image_order(stabilizer, orbit)
+
+    def test_families_and_named_graphs(self):
+        graphs = [circulant_graph(g) for g in range(7, 13)] + [complete_graph(5)]
+        graphs += [doubled_cycle(g) for g in range(4, 11)] + [theta_loops()]
+        graphs += [DartGraph(1, [(0, 0)] * k) for k in range(1, 7)]
+        graphs += [DartGraph(2, [(0, 1)] * k) for k in range(1, 9)]
+        graphs += [complete_bipartite(4, 4), complete_bipartite(4, 6), rigid_fixture()]
+        for g in graphs:
+            self.check(g)
+
+    def test_random_multigraphs(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            self.check(random_connected_multigraph(rng, rng.randint(1, 6), rng.randint(1, 8)))
+
+    def test_stable_graphs_of_genus_at_most_four(self):
+        for genus in (2, 3, 4):
+            for g in stable_graphs_by_canonical_form(genus):
+                self.check(g)
+
+
 class TestImplicitKernelOracle:
     """The implicit kernel at every base vertex against the explicit group,
     with every parallel swap and loop flip a dart permutation: orbits,
@@ -473,10 +528,10 @@ class TestImplicitKernelOracle:
 
     @classmethod
     def search(cls, group, d0):
-        try:
-            return even_orbit_search(group, d0, cap=cls.CAP)
-        except EnumerationCapError:
+        orbit = group.orbit(d0)
+        if len(orbit) % 2 == 0 and image_order(group, orbit) > cls.CAP:
             return "over the cap"
+        return even_orbit_search(group, d0)
 
     def check(self, g):
         for v in range(g.vertex_count):
@@ -508,10 +563,15 @@ class TestImplicitKernelOracle:
             for e in {d >> 1 for d in at_v}:
                 cd = stabilizer_tower(aut, v, e)
                 assert cd.walk == tuple(group.orbit(cd.base_dart))
-            if g.all_degrees_even() and "over the cap" not in searches:
-                verdict = certify_nonsplit(g, base_vertex=v, cap=self.CAP)
-                assert [r.dart_orbit for r in verdict.per_orbit] == orbits
-                assert [r.certificate for r in verdict.per_orbit] == searches
+            if not g.all_degrees_even():
+                continue
+            if "over the cap" in searches:
+                with pytest.raises(EnumerationCapError):
+                    certify_nonsplit(g, base_vertex=v, cap=self.CAP)
+                continue
+            verdict = certify_nonsplit(g, base_vertex=v, cap=self.CAP)
+            assert [r.dart_orbit for r in verdict.per_orbit] == orbits
+            assert [r.certificate for r in verdict.per_orbit] == searches
 
     def test_families_and_named_graphs(self):
         graphs = [circulant_graph(g) for g in range(7, 13)] + [complete_graph(5)]

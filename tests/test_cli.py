@@ -4,6 +4,7 @@ import errno
 import io
 import itertools
 import json
+import math
 import os
 import random
 import runpy
@@ -1022,6 +1023,26 @@ class TestScale:
             moved = {d for d, x in enumerate(images) if d != x}
             assert not moved or moved & at_base
 
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            DartGraph(2, [(0, 1)] * 160),
+            complete_bipartite(4, 80),
+            DartGraph(1, [(0, 0)] * 200),
+        ],
+        ids=["banana-160", "k4-80", "bouquet-200"],
+    )
+    def test_refused_within_two_seconds(self, capsys, tmp_path, graph):
+        # |H| is read as |G2| over the automorphisms fixing the branch
+        # orbit; its order from a chain on the orbit took 10 s to over 120 s
+        path = tmp_path / "big.graph"
+        path.write_text(graph_text(graph))
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "certify", str(path))
+        assert time.perf_counter() - started < 2.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: enumeration cap exceeded")
+
     def test_genus_4096_within_seconds(self, capsys):
         # with every kernel generator explicit these took 12-27 s and 540 MiB each
         source = ("--family", "double-cycle", "--genus", "4096")
@@ -1092,6 +1113,21 @@ class TestOrdersOverTheDigitLimit:
                 "orbit (edge orbit 0, base edge 0): cosets 4, |G3| = %s, |G4| = %s"
                 % (g3, g4)
             ) in lines
+
+    def test_refusal(self, capsys, tmp_path):
+        # G2 acts on the 3000 darts of a bouquet of 1500 loops as a group of
+        # 2^1500 * 1500! elements, which has 4567 digits
+        path = tmp_path / "bouquet.graph"
+        path.write_text(graph_text(DartGraph(1, [(0, 0)] * 1500)))
+        with digit_limit(0):
+            size = str(math.factorial(1500) << 1500)
+        assert len(size) > DEFAULT_DIGIT_LIMIT
+        code, out, err = run_cli(capsys, "certify", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: enumeration cap exceeded: the image on an orbit of 3000 points "
+            "has %s elements > cap 1000000\n" % size
+        )
 
     @pytest.mark.parametrize(
         "argv", [("graph", "analyze"), ("certify",), ("clutch", "roundtrip")]
