@@ -7,6 +7,7 @@ from degenera.certify import (
     CERTIFIED_NONSPLIT,
     NOT_CERTIFIED,
     SPLITS_TRIVIALLY,
+    DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     NoEndpointSwapError,
     certify_nonsplit,
@@ -294,7 +295,7 @@ class TestChainCount:
         assert self.chains_built(monkeypatch, certify_nonsplit, bouquet5) == []
         assert certify_nonsplit(bouquet5).status == CERTIFIED_NONSPLIT
 
-        def refused(graph, cap=10**6):
+        def refused(graph, cap=DEFAULT_ENUMERATION_CAP):
             with pytest.raises(EnumerationCapError, match="elements > cap %d$" % cap):
                 certify_nonsplit(graph, cap=cap)
 
