@@ -13,8 +13,10 @@ packed into one Python int, a slot of k bits per coefficient (Kronecker
 substitution): a product there is a fixed number of bigint operations, one
 product plus Barrett reductions slot-wise mod p and polynomial-wise mod f,
 with no loop over coefficients.  x^p comes from a square-and-multiply
-ladder.  Primes are kept below 2^31, which bounds the slot width (see
-`_PackedRing`).
+ladder that starts at the largest monomial x^e, e < 2n - 1, read off the
+leading bits of p.  The ring's Barrett constant mu comes from one integer
+pseudo-division per polynomial, reduced mod each prime.  Primes are kept
+below 2^31, which bounds the slot width (see `_PackedRing`).
 
 One distinct-degree loop serves every prime (`_pattern_of_squarefree`).
 At degree d it makes the powers of h = x^(p^d) mod f, the columns of the
@@ -23,8 +25,13 @@ roots of f in GF(p^d); the factor counts per degree follow by
 inclusion-exclusion, and x^(p^(d+1)) is one linear combination of those
 powers.  The roots are counted by the trace of that matrix for p > deg f,
 where the count mod p is exact because it is at most deg f, and by
-deg gcd(h - x, f mod p) otherwise.  `degree_pattern` always counts by
-gcds, so it re-checks the trace count with another counting step.
+deg gcd(h - x, f mod p) otherwise.  At odd p the prime loop passes the
+Legendre symbol (disc f / p), which by Stickelberger's theorem is
+(-1)^(n-r) for r irreducible factors: once the degree left is in
+[2d, 3d) at most two factors remain, and their parity settles the last
+levels without their powers.  `degree_pattern` gets no sign and always
+counts by gcds, so it re-checks both the trace count and the parity rule
+with every level run.
 
 The census, the witness search and the galois search share one per-prime
 function: the sieve and disc(f) are computed once, and the primes dividing
@@ -35,11 +42,11 @@ and send back only a pattern tally, which merges into exactly what one
 scan would give.  The witness search stays a lazy scan that stops at the
 second all-even prime.  `degree_pattern` stays a separate single-prime path
 with its own primality and gcd(f, f') tests and the gcd count, so
-certificates and the test oracles re-check both the ramified primes and
-the trace count of the loop.  `parse_poly` refuses a degree above
-DEGREE_LIMIT before it builds a coefficient list, and a number of more
-digits than the interpreter's integer string conversion limit before it
-converts any.
+certificates and the test oracles re-check the ramified primes, the
+trace count and the parity rule of the loop.  `parse_poly` refuses a
+degree above DEGREE_LIMIT before it builds a coefficient list, and a
+number of more digits than the interpreter's integer string conversion
+limit before it converts any.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -318,6 +326,42 @@ def _gcd_mod(a, b, p):
     return a
 
 
+@lru_cache(maxsize=256)
+def _slot_masks(n, k, s):
+    """(qmask, lomask) of a ring layout: the low k - s bits of each of the
+    2n - 1 slots of a product, and the n slots of a residue."""
+    qmask = ((1 << k * (2 * n - 1)) - 1) // ((1 << k) - 1) * ((1 << k - s) - 1)
+    return qmask, (1 << k * n) - 1
+
+
+def _ring_quotient(coeffs):
+    """The pseudo-quotient q of lc^(n-1)*x^(2n-2) by f over the integers.
+
+    lc^(n-1)*x^(2n-2) = q*f + r with deg r < n, each of the n - 1
+    elimination steps an exact division by lc.  For a prime p not dividing
+    lc, fbar = f/lc mod p then has mu = floor(x^(2n-2) / fbar) =
+    q*lc^(2-n) mod p (`_ring_mu`), so the ring constant costs one integer
+    division per polynomial, not one division in GF(p)[x] per prime.
+    """
+    n, lead = len(coeffs) - 1, coeffs[-1]
+    rem = [0] * (2 * n - 2) + [lead ** (n - 1)]
+    quot = [0] * (n - 1)
+    for shift in range(n - 2, -1, -1):
+        c, r = divmod(rem.pop(), lead)
+        assert r == 0
+        quot[shift] = c
+        for i in range(n):
+            rem[shift + i] -= c * coeffs[i]
+    return quot
+
+
+def _ring_mu(quot, lead, p):
+    """mu = floor(x^(2n-2) / fbar) mod p from `_ring_quotient`'s q, whose
+    n - 1 coefficients each take the scale lc^(2-n)."""
+    scale = pow(lead, 1 - len(quot), p)
+    return [c * scale % p for c in quot]
+
+
 class _PackedRing:
     """GF(p)[x]/(fbar) with each residue packed into one Python int.
 
@@ -336,7 +380,11 @@ class _PackedRing:
     Algebra, 9.1).  For S of degree <= 2n-2 write S = lo + x^n*hi with
     deg lo < n.  With mu = floor(x^(2n-2) / fbar), the quotient of S by
     fbar is exactly q = floor(hi*mu / x^(n-2)) over GF(p), and the
-    remainder is lo + lo(q*g), where g = x^n - fbar has degree < n.
+    remainder is lo + lo(q*g), where g = x^n - fbar has degree < n.  The
+    caller passes mu's coefficients, reduced from the integer pseudo-
+    quotient of f (`_ring_quotient`, `_ring_mu`), so no prime divides in
+    GF(p)[x] for it; the masks depend only on the layout (n, k, s) and
+    come from `_slot_masks`.
 
     Largest slot value before each Barrett step of `mul(a, b)`, where the
     slots of a and b are at most 2p-1 and those of mu and g below p:
@@ -354,20 +402,15 @@ class _PackedRing:
         "p", "n", "k", "s", "m", "qmask", "lomask", "hi_shift", "q_shift", "mu", "g"
     )
 
-    def __init__(self, fbar, p):
+    def __init__(self, fbar, p, mu):
         n = len(fbar) - 1
         top = n * (2 * p - 1) ** 2
         self.p, self.n = p, n
-        self.s = top.bit_length()
-        self.m = (1 << self.s) // p
+        self.s = s = top.bit_length()
+        self.m = (1 << s) // p
         self.k = k = (top * self.m).bit_length()
-        # low k - s bits of each of the 2n - 1 slots of a product
-        self.qmask = ((1 << k * (2 * n - 1)) - 1) // ((1 << k) - 1) * (
-            (1 << k - self.s) - 1
-        )
-        self.lomask = (1 << k * n) - 1
+        self.qmask, self.lomask = _slot_masks(n, k, s)
         self.hi_shift, self.q_shift = k * n, k * (n - 2)
-        mu = _divmod_mod([0] * (2 * n - 2) + [1], fbar, p)[0]
         self.mu = self.pack(mu)
         self.g = self.pack([-c % p for c in fbar[:-1]])
 
@@ -401,9 +444,22 @@ class _PackedRing:
         return r - (r * m >> s & self.qmask) * p
 
     def xpow(self):
-        """x^p by square-and-multiply, for n >= 2."""
-        h = 1 << self.k
-        for bit in bin(self.p)[3:]:
+        """x^p, for n >= 2: the leading bits of p make the largest exponent
+        e < 2n - 1, whose power x^e is a packed monomial for e < n and one
+        product x^(n-1) * x^(e-n+1) otherwise; square-and-multiply runs
+        over the bits after those."""
+        n, k, p = self.n, self.k, self.p
+        bits = bin(p)[2:]
+        j = min(len(bits), (2 * n - 2).bit_length())
+        e = p >> len(bits) - j
+        if e >= 2 * n - 1:
+            j -= 1
+            e >>= 1
+        if e < n:
+            h = 1 << k * e
+        else:
+            h = self.mul(1 << k * (n - 1), 1 << k * (e - n + 1))
+        for bit in bits[j:]:
             h = self.mul(h, h)
             if bit == "1":
                 h = self.mulx(h)
@@ -446,7 +502,7 @@ def _roots_by_gcd(ring, fbar, powers):
     return len(_gcd_mod(minus_x, fbar, p)) - 1
 
 
-def _pattern_of_squarefree(fbar, p, roots):
+def _pattern_of_squarefree(fbar, p, mu, roots, sign):
     """Degree pattern of a monic squarefree fbar in GF(p)[x].
 
     Frobenius s acts on A = GF(p)[x]/(fbar) with s^d(x^j) = h^j, where
@@ -456,20 +512,37 @@ def _pattern_of_squarefree(fbar, p, roots):
     so r_d follows from the r_e with e < d.  x^p comes from one
     square-and-multiply ladder, and x^(p^(d+1)) = s^d(x^p) is the sum of
     c_j*h^j over the coefficients c_j of x^p, one linear combination of the
-    powers already made.  Once the degree left is below 2(d+1) it is a
-    single irreducible factor, so its count is never taken.
+    powers already made.  mu is the ring constant (`_ring_mu`).
+
+    Before level d every factor left has degree at least d, so a degree
+    left below 2d is a single factor.  sign, for odd p, is the Legendre
+    symbol (disc fbar / p) as 1 or -1, and by Stickelberger's theorem it
+    equals (-1)^(n-r) for the number r of irreducible factors (Swan,
+    Pacific J. Math. 12, 1962).  When 2d <= rest < 3d for the degree left,
+    at most two factors remain: the parity of r tells one factor of degree
+    rest from two, and two are d and rest - d when rest <= 2d + 1.  The
+    guard rest < 3d matters at d = 1, rest = 3, where 3 and 1.1.1 have the
+    same parity.  A quadratic at odd p thus needs no ring.  sign None (at
+    p = 2, and in `degree_pattern`) runs every level.
     """
     n = len(fbar) - 1
-    if n <= 1:
-        return (1,) * n
-    ring = _PackedRing(fbar, p)
-    frob = ring.xpow()
-    xp = ring.unpack(frob)
     found = []  # (e, r_e) with r_e > 0
     rest = n
-    power = frob
     d = 1
-    while True:
+    while 2 * d <= rest:
+        if sign is not None and rest < 3 * d:
+            if (-1) ** (n - sum(r for _, r in found) - 1) == sign:
+                break
+            if rest <= 2 * d + 1:
+                found.append((d, 1))
+                rest -= d
+                break
+        if d == 1:
+            ring = _PackedRing(fbar, p, mu)
+            power = ring.xpow()
+            xp = ring.unpack(power)
+        else:
+            power = ring.combine(xp, powers)
         powers = ring.powers(power)
         count = roots(ring, fbar, powers) - sum(e * r for e, r in found if d % e == 0)
         assert 0 <= count <= rest and count % d == 0, (p, d, count)
@@ -477,9 +550,6 @@ def _pattern_of_squarefree(fbar, p, roots):
             found.append((d, count // d))
             rest -= count
         d += 1
-        if 2 * d > rest:
-            break
-        power = ring.combine(xp, powers)
     degrees = [e for e, r in found for _ in range(r)]
     if rest:
         degrees.append(rest)
@@ -502,7 +572,8 @@ def degree_pattern(f, p):
     fprime = [c % p for c in f.derivative_coeffs()]
     if len(_gcd_mod(fbar, fprime, p)) > 1:
         return None
-    return _pattern_of_squarefree(fbar, p, _roots_by_gcd)
+    mu = _ring_mu(_ring_quotient(f.coeffs), f.leading, p)
+    return _pattern_of_squarefree(fbar, p, mu, _roots_by_gcd, None)
 
 
 def pattern_text(pattern):
@@ -559,7 +630,10 @@ def _prime_loop(f, bound):
     the per-prime work stays on the squarefree path.  Primes dividing the
     leading coefficient of a non-monic f also count as ramified, since the
     pattern is undefined for them.  Primes above deg f count roots by the
-    trace, the others by the gcd.
+    trace, the others by the gcd.  Each odd prime gets the sign
+    (disc f / p) for the parity rule of `_pattern_of_squarefree`, equal to
+    (disc fbar / p) since disc f = lc^(2n-2) disc fbar, and mu from the
+    integer quotient made here once.
     """
     _check_bound(bound)
     disc = discriminant(f)
@@ -567,12 +641,17 @@ def _prime_loop(f, bound):
         raise ValueError("polynomial is not squarefree (discriminant 0)")
     disc_lead = disc * f.leading
     n = f.degree
+    quot = _ring_quotient(f.coeffs)
 
     def pattern(p):
         if disc_lead % p == 0:
             return None
         roots = _roots_by_trace if p > n else _roots_by_gcd
-        return _pattern_of_squarefree(_monic_mod(f.coeffs, p), p, roots)
+        sign = None
+        if p > 2:
+            sign = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+        mu = _ring_mu(quot, f.leading, p)
+        return _pattern_of_squarefree(_monic_mod(f.coeffs, p), p, mu, roots, sign)
 
     return pattern
 

@@ -1190,10 +1190,10 @@ class TestShardedPrimeLoop:
         parent = os.getpid()
         real = frobenius._pattern_of_squarefree
 
-        def failing_in_children(fbar, p, roots):
+        def failing_in_children(fbar, p, mu, roots, sign):
             if os.getpid() != parent:
                 failure()
-            return real(fbar, p, roots)
+            return real(fbar, p, mu, roots, sign)
 
         monkeypatch.setattr(frobenius, "_pattern_of_squarefree", failing_in_children)
         code, out, err = run_cli(
@@ -1231,7 +1231,7 @@ class TestShardedPrimeLoop:
         # a child that would run for a minute is killed, not waited for
         parent = os.getpid()
 
-        def slow_children(fbar, p, roots):
+        def slow_children(fbar, p, mu, roots, sign):
             if os.getpid() != parent:
                 time.sleep(60)
             raise MemoryError()

@@ -24,6 +24,9 @@ from degenera.frobenius import (
     _divmod_mod,
     _gcd_mod,
     _pattern_of_squarefree,
+    _prime_loop,
+    _ring_mu,
+    _ring_quotient,
     _roots_by_gcd,
     _roots_by_trace,
     _subresultant,
@@ -426,6 +429,12 @@ def reduced(coeffs, p):
     return out
 
 
+def packed_ring(fbar, p):
+    """The ring of a monic fbar with entries in [0, p), its mu read off
+    fbar's integer pseudo-quotient as the prime loop reads it off f's."""
+    return _PackedRing(fbar, p, _ring_mu(_ring_quotient(fbar), 1, p))
+
+
 class TestPackedRing:
     """Packed products against the schoolbook product plus `_divmod_mod`,
     with every input slot at the largest value the ring admits."""
@@ -441,7 +450,7 @@ class TestPackedRing:
         for p in (2, 3, 65521, LARGEST_PRIME):
             for n in range(2, 17):
                 for fbar in self.moduli(rng, n, p):
-                    ring = _PackedRing(fbar, p)
+                    ring = packed_ring(fbar, p)
                     rand = [rng.randrange(2 * p) for _ in range(n)]
                     cases = [
                         ([2 * p - 1] * n, [2 * p - 1] * n),
@@ -457,11 +466,13 @@ class TestPackedRing:
                         assert reduced(got, p) == expect, (p, n, a)
 
     def test_ladder(self):
+        # 5..31 start the ladder at a monomial x^e with e < n for some n
+        # and at a product x^(n-1) * x^(e-n+1) for others, n = 2..16
         rng = random.Random(34)
-        for p in (2, 3, 65521, LARGEST_PRIME):
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 65521, LARGEST_PRIME):
             for n in range(2, 17):
                 for fbar in self.moduli(rng, n, p):
-                    ring = _PackedRing(fbar, p)
+                    ring = packed_ring(fbar, p)
                     frob = ring.xpow()
                     h = [1]
                     for bit in bin(p)[2:]:
@@ -478,7 +489,7 @@ class TestPackedRing:
         for p in (17, 65521, LARGEST_PRIME):
             for n in range(2, 17):
                 for fbar in self.moduli(rng, n, p):
-                    ring = _PackedRing(fbar, p)
+                    ring = packed_ring(fbar, p)
                     h = [rng.randrange(p) for _ in range(n)]
                     powers = ring.powers(ring.pack(h))
                     expect = [[1], reduced(h, p)]
@@ -521,7 +532,8 @@ def trace_pattern(f, p, roots=_roots_by_trace):
     """The distinct-degree loop on f mod p counting roots by the trace;
     f mod p must be unramified and p > deg f."""
     assert p > f.degree and discriminant(f) % p and f.leading % p
-    return _pattern_of_squarefree(frobenius._monic_mod(f.coeffs, p), p, roots)
+    mu = _ring_mu(_ring_quotient(f.coeffs), f.leading, p)
+    return _pattern_of_squarefree(frobenius._monic_mod(f.coeffs, p), p, mu, roots, None)
 
 
 class TestTracePath:
@@ -596,11 +608,135 @@ class TestTracePath:
         f = parse_poly("x^12-x-1")
         result = census(f, 400)
         n = f.degree
-        late = [(name, p) for name, p in calls if p > n]
-        # one division per prime above n, for the ring's mu
-        assert sorted(late) == [("_divmod_mod", p) for p in primes_upto(400) if p > n]
+        # mu comes from one integer division per polynomial, so no
+        # division and no gcd runs in GF(p)[x] above n
+        assert [(name, p) for name, p in calls if p > n] == []
         assert "_gcd_mod" in {name for name, p in calls if p <= n}
         assert sum(result.counts.values()) == len(primes_upto(400)) - len(result.ramified)
+
+
+class TestRingMu:
+    def test_integer_quotient_matches_division_mod_p(self):
+        # mu from one integer division per polynomial equals the quotient
+        # of x^(2n-2) by fbar in GF(p)[x], monic and not
+        rng = random.Random(40)
+        for _ in range(200):
+            f = random_poly(rng, max_degree=16)
+            while f.degree < 2:
+                f = random_poly(rng, max_degree=16)
+            quot = _ring_quotient(f.coeffs)
+            for p in (2, 3, 5, 7, 65521, LARGEST_PRIME):
+                if f.leading % p == 0:
+                    continue
+                fbar = frobenius._monic_mod(f.coeffs, p)
+                n = len(fbar) - 1
+                expect = _divmod_mod([0] * (2 * n - 2) + [1], fbar, p)[0]
+                assert _ring_mu(quot, f.leading, p) == expect, (f, p)
+
+
+def parity_cases():
+    """One seeded squarefree polynomial of each degree 2..16, the leading
+    coefficient cycling through 1, 2 and -3."""
+    rng = random.Random(41)
+    cases = []
+    for degree in range(2, 17):
+        lead = (1, 2, -3)[degree % 3]
+        f = IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [lead])
+        while discriminant(f) == 0:
+            f = IntPoly([rng.randint(-9, 9) for _ in range(degree)] + [lead])
+        cases.append(f)
+    return cases
+
+
+class TestParityRule:
+    """The prime loop settles its last levels by Stickelberger's parity;
+    degree_pattern runs every level by gcds."""
+
+    def test_prime_loop_matches_degree_pattern(self):
+        bound = 3000
+        plist = primes_upto(bound)
+        for f in parity_cases():
+            pattern = _prime_loop(f, bound)
+            for p in plist:
+                if f.leading % p == 0:
+                    assert pattern(p) is None, (f, p)
+                else:
+                    assert pattern(p) == degree_pattern(f, p), (f, p)
+
+    def test_cubics_whose_patterns_share_a_parity(self):
+        # a square discriminant gives sign 1 at every unramified prime,
+        # and 3 and 1.1.1 both have n - r even: at d = 1 the degree left is
+        # 3 = 2d + 1, where parity alone cannot tell them apart
+        for text in ("x^3-3x+1", "x^3-x^2-2x+1", "8x^3-6x+1"):
+            f = parse_poly(text)
+            disc = discriminant(f)
+            assert math.isqrt(disc) ** 2 == disc
+            pattern = _prime_loop(f, 3000)
+            seen = set()
+            for p in primes_upto(3000):
+                got = pattern(p)
+                if f.leading % p and disc % p:
+                    assert got == degree_pattern(f, p), (text, p)
+                    seen.add(got)
+            assert seen == {(3,), (1, 1, 1)}, text
+
+
+class TestProductCount:
+    """Packed products and distinct-degree levels per census, on one CPU."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of the ring's mul (every packed product, those inside
+        powers too) and of powers (one per level) from now on."""
+        calls = {"mul": 0, "powers": 0}
+
+        def counting(name):
+            real = getattr(_PackedRing, name)
+
+            def wrapped(self, *args):
+                calls[name] += 1
+                return real(self, *args)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(_PackedRing, name, counting(name))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return calls
+
+    def test_census_products_pinned(self, calls):
+        expect = {"x^4-x-1": (4449, 430), "x^8-x-1": (8429, 877), "x^12-x-1": (16774, 1389)}
+        for text, pinned in expect.items():
+            calls.update(mul=0, powers=0)
+            census(parse_poly(text), 3000)
+            assert (calls["mul"], calls["powers"]) == pinned, text
+
+    def test_degree_pattern_runs_every_level(self, monkeypatch, calls):
+        signs = []
+        real = frobenius._pattern_of_squarefree
+
+        def recording(fbar, p, mu, roots, sign):
+            signs.append(sign)
+            return real(fbar, p, mu, roots, sign)
+
+        monkeypatch.setattr(frobenius, "_pattern_of_squarefree", recording)
+        f = parse_poly("x^12-x-1")
+        # irreducible mod 5: levels d = 1..6 by gcds, 4 in the prime loop
+        assert degree_pattern(f, 5) == (12,)
+        assert (signs, calls["powers"]) == ([None], 6)
+        assert _prime_loop(f, 5)(5) == (12,)
+        assert (signs, calls["powers"]) == ([None, -1], 10)
+
+    def test_irreducible_degree_twelve_runs_at_most_four_levels(self, calls):
+        # parity settles level 5 (rest 12 lies in [10, 15)), and a single
+        # factor needs no level 6
+        pattern = _prime_loop(parse_poly("x^12-x-1"), 3000)
+        irreducible = [p for p in primes_upto(3000) if pattern(p) == (12,)]
+        assert len(irreducible) > 20
+        for p in irreducible:
+            calls["powers"] = 0
+            pattern(p)
+            assert calls["powers"] <= 4, p
 
 
 class TestCensus:
