@@ -7,16 +7,15 @@ patterns are all even witness nonzero 2-torsion in the relative Brauer
 group of the splitting field over the rationals; the census estimates the
 Chebotarev densities of the patterns.
 
-Only degree patterns are computed, never the factors themselves.  The
-powers x^(p^d) mod f live in the ring GF(p)[x]/(f mod p) with each residue
-packed into one Python int, a slot of k bits per coefficient (Kronecker
-substitution): a product there is a fixed number of bigint operations, one
-product plus Barrett reductions slot-wise mod p and polynomial-wise mod f,
-with no loop over coefficients.  x^p comes from a square-and-multiply
-ladder that starts at the largest monomial x^e, e < 2n - 1, read off the
-leading bits of p.  The ring's Barrett constant mu comes from one integer
-pseudo-division per polynomial, reduced mod each prime.  Primes are kept
-below 2^31, which bounds the slot width (see `_PackedRing`).
+Only degree patterns are computed, never the factors.  The powers
+x^(p^d) mod f live in GF(p)[x]/(f mod p) with each residue packed into one
+Python int, k bits per coefficient (Kronecker substitution): a product is
+one bigint product plus Barrett reductions slot-wise mod p and
+polynomial-wise mod f, with no loop over coefficients.  x^p comes from a
+square-and-multiply ladder from the largest monomial x^e, e < 2n, read off
+the leading bits of p, one Barrett step per bit; mu comes from one integer
+pseudo-division per polynomial.  Primes stay below 2^31, which bounds the
+slot width (see `_PackedRing`).
 
 One distinct-degree loop serves every prime (`_pattern_of_squarefree`).
 At degree d it makes the powers of h = x^(p^d) mod f, the columns of the
@@ -29,9 +28,7 @@ deg gcd(h - x, f mod p) otherwise.  At odd p the prime loop passes the
 Legendre symbol (disc f / p), which by Stickelberger's theorem is
 (-1)^(n-r) for r irreducible factors: once the degree left is in
 [2d, 3d) at most two factors remain, and their parity settles the last
-levels without their powers.  `degree_pattern` gets no sign and always
-counts by gcds, so it re-checks both the trace count and the parity rule
-with every level run.
+levels without their powers.
 
 The census, the witness search and the galois search share one per-prime
 function: the sieve and disc(f) are computed once, and the primes dividing
@@ -41,12 +38,12 @@ so `taskset` limits them): forked children each take an interleaved share
 and send back only a pattern tally, which merges into exactly what one
 scan would give.  The witness search stays a lazy scan that stops at the
 second all-even prime.  `degree_pattern` stays a separate single-prime path
-with its own primality and gcd(f, f') tests and the gcd count, so
-certificates and the test oracles re-check the ramified primes, the
-trace count and the parity rule of the loop.  `parse_poly` refuses a
-degree above DEGREE_LIMIT before it builds a coefficient list, and a
-number of more digits than the interpreter's integer string conversion
-limit before it converts any.
+with its own primality and gcd(f, f') tests, the gcd count and no sign
+(every level runs), so certificates and the test oracles re-check the
+ramified primes, the trace count and the parity rule of the loop.
+`parse_poly` refuses a degree above DEGREE_LIMIT before it builds a
+coefficient list, and a number of more digits than the interpreter's
+integer string conversion limit before it converts any.
 """
 
 from __future__ import annotations
@@ -57,9 +54,10 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # sieve bytes to primality
 
 PRIME_LIMIT = 2**31
 # parse_poly rejects a higher degree before building any coefficient list;
@@ -192,10 +190,11 @@ def primes_upto(bound):
     # 1 marks a composite; a failed bytearray repeat prints a stray
     # SystemError line on CPython 3.11, the zero-filled constructor does not
     sieve = bytearray(bound + 1)
+    sieve[0] = sieve[1] = 1
     for i in range(2, int(bound**0.5) + 1):
         if not sieve[i]:
             sieve[i * i :: i] = b"\x01" * ((bound - i * i) // i + 1)
-    return [i for i in range(2, bound + 1) if not sieve[i]]
+    return list(compress(range(bound + 1), sieve.translate(_FLIP)))
 
 
 def is_prime(n):
@@ -287,33 +286,27 @@ def _monic_mod(coeffs, p):
     return c
 
 
-def _divmod_mod(a, f, p):
-    """(quotient, remainder) of a by monic f in GF(p)[x]; a's entries must
-    lie in 0..p-1, and a becomes the remainder, without trailing zeros."""
+def _rem_mod(a, f, p):
+    """Remainder of a by monic f in GF(p)[x], in place; a's entries must lie
+    in 0..p-1, and a comes back without trailing zeros."""
     n = len(f) - 1
-    quot = [0] * (len(a) - n)
-    for k in range(len(a) - 1, n - 1, -1):
-        c = a[k]
+    for top in range(len(a) - 1, n - 1, -1):
+        c = a[top]
         if c:
-            shift = k - n
-            quot[shift] = c
+            shift = top - n
             for i in range(n):
                 a[shift + i] = (a[shift + i] - c * f[i]) % p
     del a[n:]
     while a and a[-1] == 0:
         a.pop()
-    return quot, a
+    return a
 
 
 def _gcd_mod(a, b, p):
-    """Monic gcd in GF(p)[x] of coefficient lists with entries in 0..p-1.
-
-    Each step makes the divisor monic with one inverse and takes the
-    remainder in place; remainders come back reduced, so nothing is
-    reduced mod p twice.
-    """
-    a = list(a)
-    b = list(b)
+    """Monic gcd in GF(p)[x] of coefficient lists with entries in 0..p-1:
+    each step makes the divisor monic with one inverse and takes the
+    remainder in place, reduced, so nothing is reduced mod p twice."""
+    a, b = list(a), list(b)
     while b and b[-1] == 0:
         b.pop()
     if not b:
@@ -322,31 +315,34 @@ def _gcd_mod(a, b, p):
         if b[-1] != 1:
             inv = pow(b[-1], -1, p)
             b = [c * inv % p for c in b]
-        a, b = b, _divmod_mod(a, b, p)[1]
+        a, b = b, _rem_mod(a, b, p)
     return a
 
 
 @lru_cache(maxsize=256)
-def _slot_masks(n, k, s):
-    """(qmask, lomask) of a ring layout: the low k - s bits of each of the
-    2n - 1 slots of a product, and the n slots of a residue."""
-    qmask = ((1 << k * (2 * n - 1)) - 1) // ((1 << k) - 1) * ((1 << k - s) - 1)
-    return qmask, (1 << k * n) - 1
+def _layout(n, b):
+    """(s, k, qmask, lomask) for a degree-n fbar at every prime of bit length
+    b: slot bound s and width k (see `_PackedRing`), the low k - s bits of
+    each of a product's 2n slots, and a residue's n slots."""
+    top = n * ((1 << b + 1) - 3) ** 2
+    s = top.bit_length()
+    k = (top << s - b + 1).bit_length()
+    qmask = ((1 << k * 2 * n) - 1) // ((1 << k) - 1) * ((1 << k - s) - 1)
+    return s, k, qmask, (1 << k * n) - 1
 
 
 def _ring_quotient(coeffs):
-    """The pseudo-quotient q of lc^(n-1)*x^(2n-2) by f over the integers.
+    """The pseudo-quotient q of lc^n*x^(2n-1) by f over the integers.
 
-    lc^(n-1)*x^(2n-2) = q*f + r with deg r < n, each of the n - 1
-    elimination steps an exact division by lc.  For a prime p not dividing
-    lc, fbar = f/lc mod p then has mu = floor(x^(2n-2) / fbar) =
-    q*lc^(2-n) mod p (`_ring_mu`), so the ring constant costs one integer
-    division per polynomial, not one division in GF(p)[x] per prime.
+    lc^n*x^(2n-1) = q*f + r with deg r < n, each of the n elimination
+    steps an exact division by lc.  For a prime p not dividing lc,
+    fbar = f/lc mod p has mu = floor(x^(2n-1) / fbar) = q*lc^(1-n) mod p
+    (`_ring_mu`): one integer division per polynomial, none per prime.
     """
     n, lead = len(coeffs) - 1, coeffs[-1]
-    rem = [0] * (2 * n - 2) + [lead ** (n - 1)]
-    quot = [0] * (n - 1)
-    for shift in range(n - 2, -1, -1):
+    rem = [0] * (2 * n - 1) + [lead**n]
+    quot = [0] * n
+    for shift in range(n - 1, -1, -1):
         c, r = divmod(rem.pop(), lead)
         assert r == 0
         quot[shift] = c
@@ -356,8 +352,8 @@ def _ring_quotient(coeffs):
 
 
 def _ring_mu(quot, lead, p):
-    """mu = floor(x^(2n-2) / fbar) mod p from `_ring_quotient`'s q, whose
-    n - 1 coefficients each take the scale lc^(2-n)."""
+    """mu = floor(x^(2n-1) / fbar) mod p from `_ring_quotient`'s q, whose
+    n coefficients each take the scale lc^(1-n)."""
     scale = pow(lead, 1 - len(quot), p)
     return [c * scale % p for c in quot]
 
@@ -368,7 +364,8 @@ class _PackedRing:
     Coefficient i of a residue lives in bits [k*i, k*(i+1)), its slot, so a
     polynomial product is one bigint product (Kronecker substitution) as
     long as no slot overflows.  Slots are reduced lazily: a residue's slots
-    lie in [0, 2p), and only `unpack` takes them down to [0, p).
+    lie in [0, 2p), and only `unpack` takes them down to [0, p).  `products`
+    counts the products of `mul` and of the inline loops of `xpow` and `powers`.
 
     Slot-wise Barrett step.  For a slot x < 2^s and m = floor(2^s / p), the
     quotient t = floor(x*m / 2^s) satisfies floor(x/p) - 1 <= t <= x/p, so
@@ -377,59 +374,55 @@ class _PackedRing:
     The slots do not interfere as long as x*m < 2^k for every slot x.
 
     Polynomial Barrett step (von zur Gathen and Gerhard, Modern Computer
-    Algebra, 9.1).  For S of degree <= 2n-2 write S = lo + x^n*hi with
-    deg lo < n.  With mu = floor(x^(2n-2) / fbar), the quotient of S by
-    fbar is exactly q = floor(hi*mu / x^(n-2)) over GF(p), and the
-    remainder is lo + lo(q*g), where g = x^n - fbar has degree < n.  The
-    caller passes mu's coefficients, reduced from the integer pseudo-
-    quotient of f (`_ring_quotient`, `_ring_mu`), so no prime divides in
-    GF(p)[x] for it; the masks depend only on the layout (n, k, s) and
-    come from `_slot_masks`.
+    Algebra, 9.1).  For S of degree <= 2n-1 write S = lo + x^n*hi with
+    deg lo < n.  With mu = floor(x^(2n-1) / fbar), the quotient of S by
+    fbar is exactly q = floor(hi*mu / x^(n-1)) over GF(p), and the
+    remainder is lo + lo(q*g), where g = x^n - fbar has degree < n: a
+    square times x, a 1 bit of the x^p ladder, takes one reduction.  mu's
+    coefficients come from f's integer pseudo-quotient (`_ring_mu`).
 
-    Largest slot value before each Barrett step of `mul(a, b)`, where the
-    slots of a and b are at most 2p-1 and those of mu and g below p:
+    Largest slot value before each Barrett step of a product a*b (times x
+    or not), the slots of a and b at most 2p-1, those of mu and g below p:
       a*b            n*(2p-1)^2           (n terms in the middle slot)
-      hi*mu          (n-1)*(2p-1)*(p-1)
-      lo + lo(q*g)   (2p-1) + (n-1)*(2p-1)*(p-1)
-    in `mulx`, (2p-1) + (2p-1)*(p-1), and in `combine`, a sum of n
-    products of a coefficient below p with a slot at most 2p-1, so at most
-    n*(p-1)*(2p-1).  The first, `top`, is the largest, so s = bit length of
-    top gives every slot x < 2^s, and k = bit length of top*m gives
-    x*m < 2^k.  For n = 16 and p = 2^31 - 1, s = 68 and k = 105.
+      hi*mu          n*(2p-1)*(p-1)
+      lo + lo(q*g)   (2p-1) + n*(2p-1)*(p-1)
+    and in `combine`, a sum of n products of a coefficient below p with a
+    slot at most 2p-1, at most n*(p-1)*(2p-1).  `_layout` bounds the
+    first, the largest, for every prime of p's bit length b by
+    top = n*(2^(b+1)-3)^2: s = bit length of top gives every slot x < 2^s,
+    and as m <= 2^(s-b+1), k = bit length of top*2^(s-b+1) gives
+    x*m < 2^k.  For n = 16 and b = 31, s = 68 and k = 106.
     """
 
-    __slots__ = (
-        "p", "n", "k", "s", "m", "qmask", "lomask", "hi_shift", "q_shift", "mu", "g"
-    )
+    __slots__ = ("p", "n", "k", "s", "m", "qmask", "lomask", "hi_shift", "q_shift",
+                 "mu", "g", "products")
 
     def __init__(self, fbar, p, mu):
         n = len(fbar) - 1
-        top = n * (2 * p - 1) ** 2
-        self.p, self.n = p, n
-        self.s = s = top.bit_length()
-        self.m = (1 << s) // p
-        self.k = k = (top * self.m).bit_length()
-        self.qmask, self.lomask = _slot_masks(n, k, s)
-        self.hi_shift, self.q_shift = k * n, k * (n - 2)
+        s, k, self.qmask, self.lomask = _layout(n, p.bit_length())
+        self.p, self.n, self.s, self.k, self.m = p, n, s, k, (1 << s) // p
+        self.hi_shift, self.q_shift, self.products = k * n, k * (n - 1), 0
         self.mu = self.pack(mu)
         self.g = self.pack([-c % p for c in fbar[:-1]])
 
     def pack(self, coeffs):
-        k = self.k
-        return sum(c << k * i for i, c in enumerate(coeffs))
+        k, r = self.k, 0
+        for c in reversed(coeffs):
+            r = (r << k) + c
+        return r
 
     def unpack(self, a):
         """Coefficient list in [0, p) without trailing zeros."""
-        k, p = self.k, self.p
-        slot = (1 << k) - 1
+        k, p, slot = self.k, self.p, (1 << self.k) - 1
         out = [(a >> k * i & slot) % p for i in range(self.n)]
         while out and out[-1] == 0:
             out.pop()
         return out
 
     def mul(self, a, b):
-        """a*b mod fbar; the slots of a and b at most 2p-1."""
+        """a*b mod fbar for deg a*b <= 2n-1, the slots of a and b at most 2p-1."""
         p, s, m, qmask, lomask = self.p, self.s, self.m, self.qmask, self.lomask
+        self.products += 1
         c = a * b
         c -= (c * m >> s & qmask) * p
         q = (c >> self.hi_shift) * self.mu >> self.q_shift
@@ -437,46 +430,53 @@ class _PackedRing:
         r = (c & lomask) + (q * self.g & lomask)
         return r - (r * m >> s & qmask) * p
 
-    def mulx(self, a):
-        """x*a mod fbar; a's slots at most 2p-1."""
-        p, s, m, k = self.p, self.s, self.m, self.k
-        r = (a << k & self.lomask) + (a >> self.hi_shift - k) * self.g
-        return r - (r * m >> s & self.qmask) * p
-
     def xpow(self):
         """x^p, for n >= 2: the leading bits of p make the largest exponent
-        e < 2n - 1, whose power x^e is a packed monomial for e < n and one
-        product x^(n-1) * x^(e-n+1) otherwise; square-and-multiply runs
-        over the bits after those."""
-        n, k, p = self.n, self.k, self.p
+        e < 2n, whose power x^e is a packed monomial for e < n and one
+        product x^(e-n) * x^n otherwise; each bit after those squares, and
+        a 1 bit shifts the square by one slot before its one reduction."""
+        n, k, p, s, m, qmask = self.n, self.k, self.p, self.s, self.m, self.qmask
+        lomask, hi_shift, q_shift = self.lomask, self.hi_shift, self.q_shift
+        mu, g = self.mu, self.g
         bits = bin(p)[2:]
-        j = min(len(bits), (2 * n - 2).bit_length())
+        j = min(len(bits), (2 * n - 1).bit_length())
         e = p >> len(bits) - j
-        if e >= 2 * n - 1:
+        if e >= 2 * n:
             j -= 1
             e >>= 1
-        if e < n:
-            h = 1 << k * e
-        else:
-            h = self.mul(1 << k * (n - 1), 1 << k * (e - n + 1))
+        h = 1 << k * e if e < n else self.mul(1 << k * (e - n), 1 << k * n)
         for bit in bits[j:]:
-            h = self.mul(h, h)
+            c = h * h
             if bit == "1":
-                h = self.mulx(h)
+                c <<= k
+            c -= (c * m >> s & qmask) * p
+            q = (c >> hi_shift) * mu >> q_shift
+            q -= (q * m >> s & qmask) * p
+            h = (c & lomask) + (q * g & lomask)
+            h -= (h * m >> s & qmask) * p
+        self.products += len(bits) - j
         return h
 
     def powers(self, h):
         """[h^0, h^1, ..., h^(n-1)] by n - 2 products; h's slots at most 2p-1."""
-        out = [1, h]
+        p, s, m, qmask, lomask = self.p, self.s, self.m, self.qmask, self.lomask
+        hi_shift, q_shift, mu, g = self.hi_shift, self.q_shift, self.mu, self.g
+        out, a = [1, h], h
         for _ in range(self.n - 2):
-            out.append(self.mul(out[-1], h))
+            c = a * h
+            c -= (c * m >> s & qmask) * p
+            q = (c >> hi_shift) * mu >> q_shift
+            q -= (q * m >> s & qmask) * p
+            a = (c & lomask) + (q * g & lomask)
+            a -= (a * m >> s & qmask) * p
+            out.append(a)
+        self.products += self.n - 2
         return out
 
     def trace(self, powers):
         """Sum of slot j of powers[j] over j, mod p: the trace of the map
         x^j -> powers[j] on GF(p)[x]/(fbar)."""
-        k = self.k
-        slot = (1 << k) - 1
+        k, slot = self.k, (1 << self.k) - 1
         return sum(h >> k * j & slot for j, h in enumerate(powers)) % self.p
 
     def combine(self, coeffs, powers):
@@ -511,8 +511,9 @@ def _pattern_of_squarefree(fbar, p, mu, roots, sign):
     of e*r_e over e | d when fbar has r_e irreducible factors of degree e,
     so r_d follows from the r_e with e < d.  x^p comes from one
     square-and-multiply ladder, and x^(p^(d+1)) = s^d(x^p) is the sum of
-    c_j*h^j over the coefficients c_j of x^p, one linear combination of the
-    powers already made.  mu is the ring constant (`_ring_mu`).
+    c_j*h^j over the coefficients c_j of x^p (unpacked at d = 2, the first
+    level that reads them), one linear combination of the powers already
+    made.  mu is the ring constant (`_ring_mu`).
 
     Before level d every factor left has degree at least d, so a degree
     left below 2d is a single factor.  sign, for odd p, is the Legendre
@@ -540,8 +541,9 @@ def _pattern_of_squarefree(fbar, p, mu, roots, sign):
         if d == 1:
             ring = _PackedRing(fbar, p, mu)
             power = ring.xpow()
-            xp = ring.unpack(power)
         else:
+            if d == 2:
+                xp = ring.unpack(power)
             power = ring.combine(xp, powers)
         powers = ring.powers(power)
         count = roots(ring, fbar, powers) - sum(e * r for e, r in found if d % e == 0)
@@ -625,15 +627,13 @@ def _prime_loop(f, bound):
     The function maps p to the degree pattern of f mod p, or to None when p
     is ramified.  The bound and disc(f) are checked here, before the caller
     builds the sieve, so a bound at the prime limit or a non-squarefree f
-    fails at once.  For monic f the ramified primes are exactly those
-    dividing the discriminant, so they are split off by divisibility and
-    the per-prime work stays on the squarefree path.  Primes dividing the
-    leading coefficient of a non-monic f also count as ramified, since the
-    pattern is undefined for them.  Primes above deg f count roots by the
-    trace, the others by the gcd.  Each odd prime gets the sign
-    (disc f / p) for the parity rule of `_pattern_of_squarefree`, equal to
-    (disc fbar / p) since disc f = lc^(2n-2) disc fbar, and mu from the
-    integer quotient made here once.
+    fails at once.  The primes dividing disc(f) (for monic f exactly the
+    ramified ones) and lc(f) (where the pattern is undefined) are split off
+    by divisibility, so the per-prime work stays on the squarefree path.
+    Primes above deg f count roots by the trace, the others by the gcd.
+    Each odd prime gets the sign (disc f / p) = (disc fbar / p), as
+    disc f = lc^(2n-2) disc fbar, for the parity rule of
+    `_pattern_of_squarefree`, and mu from the integer quotient made once.
     """
     _check_bound(bound)
     disc = discriminant(f)

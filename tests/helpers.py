@@ -10,7 +10,8 @@ and edges) built here from each generator's vertex and edge images, coset
 tables (for reconstruction and the even-orbit search), the explicit
 automorphism group (every parallel swap and loop flip as a dart
 permutation, then the lifts), a breadth-first cycle basis (its rank is the
-genus) and trial-division factorization.  The fixtures are permutations
+genus), long division in GF(p)[x] with its quotient, a list-scan byte
+sieve and trial-division factorization.  The fixtures are permutations
 from cycles, K_{a,b}, the graph file text of a graph and the quartic
 x^4 - x - 1.  None of it shares code with the package internals it checks.
 """
@@ -166,6 +167,35 @@ def sylvester_resultant(a_coeffs, b_coeffs):
                     matrix[r][c] -= factor * matrix[col][c]
     assert det.denominator == 1
     return int(det)
+
+
+def divmod_mod(a, f, p):
+    """(quotient, remainder) of a by monic f in GF(p)[x]; a's entries must
+    lie in 0..p-1, and a becomes the remainder, without trailing zeros."""
+    n = len(f) - 1
+    quot = [0] * (len(a) - n)
+    for k in range(len(a) - 1, n - 1, -1):
+        c = a[k]
+        if c:
+            shift = k - n
+            quot[shift] = c
+            for i in range(n):
+                a[shift + i] = (a[shift + i] - c * f[i]) % p
+    del a[n:]
+    while a and a[-1] == 0:
+        a.pop()
+    return quot, a
+
+
+def listed_sieve(bound):
+    """Ascending primes <= bound: a byte sieve read back by a list scan."""
+    if bound < 2:
+        return []
+    sieve = bytearray(bound + 1)
+    for i in range(2, int(bound**0.5) + 1):
+        if not sieve[i]:
+            sieve[i * i :: i] = b"\x01" * ((bound - i * i) // i + 1)
+    return [i for i in range(2, bound + 1) if not sieve[i]]
 
 
 def trial_division_factors(coeffs, p):

@@ -21,10 +21,11 @@ from degenera import frobenius
 from degenera.frobenius import (
     DEGREE_LIMIT,
     _PackedRing,
-    _divmod_mod,
     _gcd_mod,
+    _layout,
     _pattern_of_squarefree,
     _prime_loop,
+    _rem_mod,
     _ring_mu,
     _ring_quotient,
     _roots_by_gcd,
@@ -34,7 +35,9 @@ from degenera.frobenius import (
 from degenera.perms import CosetAction, Perm, PermGroup
 from helpers import (
     DEMO_QUARTIC,
+    divmod_mod,
     group_elements,
+    listed_sieve,
     sylvester_resultant,
     sympy_degree_pattern,
     trial_division_degree_pattern,
@@ -138,6 +141,10 @@ class TestPrimes:
         assert len(primes_upto(100)) == 25
         assert primes_upto(1) == []
         assert primes_upto(2) == [2]
+
+    def test_sieve_matches_list_scan(self):
+        for bound in list(range(200)) + [2 * 10**4 + 7, 10**5]:
+            assert primes_upto(bound) == listed_sieve(bound), bound
 
     def test_is_prime_matches_sieve(self):
         table = set(primes_upto(2000))
@@ -355,10 +362,11 @@ class TestRemMod:
             a = [rng.randrange(p) for _ in range(rng.randint(0, 20))]
             dividend = gf_strip(list(reversed(a)))
             quot, rem = gf_div(dividend, list(reversed(f)), p, ZZ)
-            # a may end in zeros, and then so does _divmod_mod's quotient
+            # a may end in zeros, and then so does divmod_mod's quotient
             quot = [0] * (len(a) - len(f) + 1 - len(quot)) + quot
             expect = (list(reversed(quot)), list(reversed(rem)))
-            assert _divmod_mod(list(a), f, p) == expect
+            assert divmod_mod(list(a), f, p) == expect
+            assert _rem_mod(list(a), f, p) == expect[1]
 
 
 LARGEST_PRIME = 2**31 - 1
@@ -410,7 +418,7 @@ def schoolbook_mulmod(a, b, f, p):
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _divmod_mod(prod, f, p)[1]
+    return divmod_mod(prod, f, p)[1]
 
 
 def slots_of(ring, packed):
@@ -436,7 +444,7 @@ def packed_ring(fbar, p):
 
 
 class TestPackedRing:
-    """Packed products against the schoolbook product plus `_divmod_mod`,
+    """Packed products against the schoolbook product plus `divmod_mod`,
     with every input slot at the largest value the ring admits."""
 
     @staticmethod
@@ -460,10 +468,11 @@ class TestPackedRing:
                         got = slots_of(ring, ring.mul(ring.pack(a), ring.pack(b)))
                         expect = schoolbook_mulmod(reduced(a, p), reduced(b, p), fbar, p)
                         assert reduced(got, p) == expect, (p, n, a, b)
-                    for a in ([2 * p - 1] * n, rand):
-                        got = slots_of(ring, ring.mulx(ring.pack(a)))
-                        expect = _divmod_mod([0] + reduced(a, p), fbar, p)[1]
-                        assert reduced(got, p) == expect, (p, n, a)
+                        # the fused step of a 1 bit of the ladder: a*b shifted
+                        # one slot, a product of degree 2n - 1, one reduction
+                        got = slots_of(ring, ring.mul(ring.pack(a), ring.pack(b) << ring.k))
+                        expect = schoolbook_mulmod(reduced(a, p), [0] + reduced(b, p), fbar, p)
+                        assert reduced(got, p) == expect, (p, n, a, b)
 
     def test_ladder(self):
         # 5..31 start the ladder at a monomial x^e with e < n for some n
@@ -478,9 +487,21 @@ class TestPackedRing:
                     for bit in bin(p)[2:]:
                         h = schoolbook_mulmod(h, h, fbar, p)
                         if bit == "1":
-                            h = _divmod_mod([0] + h, fbar, p)[1]
+                            h = divmod_mod([0] + h, fbar, p)[1]
                     assert reduced(slots_of(ring, frob), p) == h
 
+    def test_layout_bounds_every_bit_length(self):
+        # the largest slot value n*(2p-1)^2 and its slot Barrett product
+        # fit the layout shared by every prime of p's bit length
+        for b in range(2, 32):
+            smallest = next(q for q in range(1 << b - 1, 1 << b) if is_prime(q))
+            largest = next(q for q in range((1 << b) - 1, 0, -1) if is_prime(q))
+            for n in range(2, 17):
+                s, k, _, _ = _layout(n, b)
+                for p in (smallest, largest):
+                    top = n * (2 * p - 1) ** 2
+                    assert top < 1 << s, (n, p)
+                    assert top * ((1 << s) // p) < 1 << k, (n, p)
 
     def test_trace_and_combination_at_slot_bounds(self):
         # powers, their trace and a linear combination with every
@@ -603,7 +624,7 @@ class TestTracePath:
 
             return wrapped
 
-        for name in ("_gcd_mod", "_divmod_mod"):
+        for name in ("_gcd_mod", "_rem_mod"):
             monkeypatch.setattr(frobenius, name, spy(name, getattr(frobenius, name)))
         f = parse_poly("x^12-x-1")
         result = census(f, 400)
@@ -618,7 +639,7 @@ class TestTracePath:
 class TestRingMu:
     def test_integer_quotient_matches_division_mod_p(self):
         # mu from one integer division per polynomial equals the quotient
-        # of x^(2n-2) by fbar in GF(p)[x], monic and not
+        # of x^(2n-1) by fbar in GF(p)[x], monic and not
         rng = random.Random(40)
         for _ in range(200):
             f = random_poly(rng, max_degree=16)
@@ -630,7 +651,7 @@ class TestRingMu:
                     continue
                 fbar = frobenius._monic_mod(f.coeffs, p)
                 n = len(fbar) - 1
-                expect = _divmod_mod([0] * (2 * n - 2) + [1], fbar, p)[0]
+                expect = divmod_mod([0] * (2 * n - 1) + [1], fbar, p)[0]
                 assert _ring_mu(quot, f.leading, p) == expect, (f, p)
 
 
@@ -686,30 +707,32 @@ class TestProductCount:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Calls of the ring's mul (every packed product, those inside
-        powers too) and of powers (one per level) from now on."""
-        calls = {"mul": 0, "powers": 0}
+        """The rings built from now on, whose `products` count every packed
+        product (those inside xpow and powers too), and the calls of their
+        powers (one per level)."""
+        calls = {"powers": 0, "rings": []}
+        real_init, real_powers = _PackedRing.__init__, _PackedRing.powers
 
-        def counting(name):
-            real = getattr(_PackedRing, name)
+        def init(self, *args):
+            real_init(self, *args)
+            calls["rings"].append(self)
 
-            def wrapped(self, *args):
-                calls[name] += 1
-                return real(self, *args)
+        def powers(self, *args):
+            calls["powers"] += 1
+            return real_powers(self, *args)
 
-            return wrapped
-
-        for name in calls:
-            monkeypatch.setattr(_PackedRing, name, counting(name))
+        monkeypatch.setattr(_PackedRing, "__init__", init)
+        monkeypatch.setattr(_PackedRing, "powers", powers)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         return calls
 
     def test_census_products_pinned(self, calls):
         expect = {"x^4-x-1": (4449, 430), "x^8-x-1": (8429, 877), "x^12-x-1": (16774, 1389)}
         for text, pinned in expect.items():
-            calls.update(mul=0, powers=0)
+            calls.update(powers=0, rings=[])
             census(parse_poly(text), 3000)
-            assert (calls["mul"], calls["powers"]) == pinned, text
+            products = sum(ring.products for ring in calls["rings"])
+            assert (products, calls["powers"]) == pinned, text
 
     def test_degree_pattern_runs_every_level(self, monkeypatch, calls):
         signs = []
