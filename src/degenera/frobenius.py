@@ -12,7 +12,7 @@ x^(p^d) mod f live in GF(p)[x]/(f mod p) with each residue packed into one
 Python int, k bits per coefficient (Kronecker substitution): a product is
 one bigint product plus Barrett reductions slot-wise mod p and
 polynomial-wise mod f, with no loop over coefficients.  x^p comes from a
-square-and-multiply ladder from the largest monomial x^e, e < 2n, read off
+square-and-multiply ladder from the largest monomial x^e, e < n, read off
 the leading bits of p, one Barrett step per bit; mu comes from one integer
 pseudo-division per polynomial.  Primes stay below 2^31, which bounds the
 slot width (see `_PackedRing`).
@@ -420,7 +420,8 @@ class _PackedRing:
         return out
 
     def mul(self, a, b):
-        """a*b mod fbar for deg a*b <= 2n-1, the slots of a and b at most 2p-1."""
+        """a*b mod fbar for deg a*b <= 2n-1, slots at most 2p-1: the step
+        `xpow` and `powers` write inline, kept for the slot-bound tests."""
         p, s, m, qmask, lomask = self.p, self.s, self.m, self.qmask, self.lomask
         self.products += 1
         c = a * b
@@ -432,19 +433,18 @@ class _PackedRing:
 
     def xpow(self):
         """x^p, for n >= 2: the leading bits of p make the largest exponent
-        e < 2n, whose power x^e is a packed monomial for e < n and one
-        product x^(e-n) * x^n otherwise; each bit after those squares, and
-        a 1 bit shifts the square by one slot before its one reduction."""
+        e < n, and the ladder starts at the packed monomial x^e; each bit
+        after those squares, a 1 bit shifting the square by one slot."""
         n, k, p, s, m, qmask = self.n, self.k, self.p, self.s, self.m, self.qmask
         lomask, hi_shift, q_shift = self.lomask, self.hi_shift, self.q_shift
         mu, g = self.mu, self.g
         bits = bin(p)[2:]
-        j = min(len(bits), (2 * n - 1).bit_length())
+        j = min(len(bits), (n - 1).bit_length())
         e = p >> len(bits) - j
-        if e >= 2 * n:
+        if e >= n:
             j -= 1
             e >>= 1
-        h = 1 << k * e if e < n else self.mul(1 << k * (e - n), 1 << k * n)
+        h = 1 << k * e
         for bit in bits[j:]:
             c = h * h
             if bit == "1":

@@ -73,7 +73,7 @@ class DartGraph:
         for u, v in self.edges:
             adjacency[u].append(v)
             adjacency[v].append(u)
-        return len(orbit_walk(0, adjacency.__getitem__)) == self.vertex_count
+        return len(orbit_walk((0,), adjacency.__getitem__)) == self.vertex_count
 
     @classmethod
     def parse(cls, text):
@@ -255,7 +255,7 @@ class _VertexMatcher:
         self.image = [None] * self.n
         self.used = [False] * self.n
         self.load = [0] * self.n
-        self.order = _search_order(self.nbrs, prefix)
+        self.order = _search_order(self.sorted_nbrs, prefix)
 
     def assign(self, v, w):
         self.image[v] = w
@@ -346,25 +346,22 @@ def _neighbourhoods(graph):
     return nbrs, sigs
 
 
-def _search_order(nbrs, prefix):
+def _search_order(sorted_nbrs, prefix):
     """The prefix, then breadth-first from it and from the smallest
     unvisited vertex of each component left; a root is the prefix (root,).
+    sorted_nbrs is the matcher's per-vertex sorted neighbour list.
 
     Every vertex after the prefix but a component's start follows one of
     its neighbours, so in any suffix of the order preceded by an arbitrary
     mapped prefix, only a component's start may lack a mapped neighbour.
     """
-    order, seen, head = list(prefix), set(prefix), 0
-    for start in range(len(nbrs)):
-        while head < len(order):
-            for y in sorted(nbrs[order[head]]):
-                if y not in seen:
-                    seen.add(y)
-                    order.append(y)
-            head += 1
-        if start not in seen:
-            seen.add(start)
-            order.append(start)
+    order = orbit_walk(prefix, sorted_nbrs.__getitem__)
+    placed = set(order)
+    for start in range(len(sorted_nbrs)):
+        if start not in placed:
+            component = orbit_walk((start,), sorted_nbrs.__getitem__)
+            placed.update(component)
+            order += component
     return order
 
 
@@ -402,7 +399,7 @@ def _vertex_generators(graph, prefix, pinned=0):
             matcher.unassign(b)
             if sigma is not None:
                 gens.append(sigma)
-                orbit = set(orbit_walk(b, lambda x: [g[x] for g in gens]))
+                orbit = set(orbit_walk((b,), lambda x: [g[x] for g in gens]))
         orbit_length = len(orbit)
         order *= orbit_length
     return gens, order, orbit_length
@@ -512,7 +509,7 @@ class GraphAut:
 
     def orbit(self, dart):
         """The orbit of a dart, listed as group.orbit lists it."""
-        return orbit_walk(dart, self._moves.__getitem__)
+        return orbit_walk((dart,), self._moves.__getitem__)
 
     def edge_orbits(self):
         """The lifts' orbits on edges, merged with the parallel classes,
@@ -528,7 +525,7 @@ class GraphAut:
         orbits = []
         for x in range(count):
             if not placed[x]:
-                orbit = orbit_walk(x, images.__getitem__)
+                orbit = orbit_walk((x,), images.__getitem__)
                 for y in orbit:
                     placed[y] = True
                 orbits.append(tuple(sorted(orbit)))

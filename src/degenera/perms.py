@@ -7,9 +7,10 @@ chosen greedily on first moved points, completed without recursion),
 which gives order, membership and pointwise stabilizers without
 randomness; no command builds one.
 
-even_orbit_search works on the image of the group on one orbit Ω, whose
-elements it walks breadth-first, and lifts the image it chooses along a
-word in the generators; the caller bounds the size of that image.
+Two breadth-first walks serve the package: orbit_walk (orbits, the
+vertex base) and _walk_tree, which also keeps how each point was reached
+(the chain's transversals, and the word lifting the image that
+even_orbit_search picks on one orbit Ω, the caller bounding its size).
 CosetAction and verify_certificate re-check a certificate from the chain
 of the whole group, independently of that search, and so does
 pointwise_stabilizer.  Everything in this module is exact and
@@ -121,10 +122,10 @@ class Perm:
         return "Perm(%r)" % list(self.images)
 
 
-def orbit_walk(start, step):
-    """The points reachable from start, breadth-first; step(x) lists the
-    neighbours of x in the order they are visited."""
-    walk, seen = [start], {start}
+def orbit_walk(starts, step):
+    """The distinct starts in their order, then breadth-first what step
+    reaches from them; step(x) lists x's neighbours in visit order."""
+    walk, seen = list(starts), set(starts)
     for x in walk:
         for y in step(x):
             if y not in seen:
@@ -133,14 +134,27 @@ def orbit_walk(start, step):
     return walk
 
 
+def _walk_tree(start, step):
+    """orbit_walk((start,), step) with the tree it grows: returns the walk
+    and, per point, None for the start, else (index in the walk of the
+    point that first reached it, index of the point in that step)."""
+    walk, seen, parents = [start], {start}, [None]
+    for i, x in enumerate(walk):
+        for j, y in enumerate(step(x)):
+            if y not in seen:
+                seen.add(y)
+                walk.append(y)
+                parents.append((i, j))
+    return walk, parents
+
+
 class _ChainLevel:
-    __slots__ = ("point", "gens", "transversal", "order_list", "checked")
+    __slots__ = ("point", "gens", "transversal", "checked")
 
     def __init__(self, point, degree):
         self.point = point
         self.gens = []
         self.transversal = {point: Perm.identity(degree)}
-        self.order_list = [point]
         self.checked = set()
 
 
@@ -196,20 +210,13 @@ class _StabilizerChain:
         return i
 
     def _rebuild_orbit(self, i):
+        """Level i's transversal from its Schreier tree, keyed in walk order."""
         lvl = self.levels[i]
         gens = self._gens_for(i)
-        lvl.transversal = {lvl.point: Perm.identity(self.degree)}
-        lvl.order_list = [lvl.point]
-        queue = 0
-        while queue < len(lvl.order_list):
-            x = lvl.order_list[queue]
-            queue += 1
-            ux = lvl.transversal[x]
-            for g in gens:
-                y = g.images[x]
-                if y not in lvl.transversal:
-                    lvl.transversal[y] = g * ux
-                    lvl.order_list.append(y)
+        walk, parents = _walk_tree(lvl.point, lambda x: [g.images[x] for g in gens])
+        lvl.transversal = transversal = {lvl.point: Perm.identity(self.degree)}
+        for y, (k, j) in zip(walk[1:], parents[1:]):
+            transversal[y] = gens[j] * transversal[walk[k]]
 
     def _complete(self):
         """Verify every level's Schreier generators, deepest level first.
@@ -234,7 +241,7 @@ class _StabilizerChain:
         self._rebuild_orbit(i)
         lvl = self.levels[i]
         for g in self._gens_for(i):
-            for x in lvl.order_list:
+            for x in lvl.transversal:
                 key = (g.images, x)
                 if key in lvl.checked:
                     continue
@@ -288,7 +295,7 @@ class PermGroup:
         if not 0 <= point < self.degree:
             raise ValueError("point %d out of range 0..%d" % (point, self.degree - 1))
         gens = self.generators
-        return orbit_walk(point, lambda x: [g.images[x] for g in gens])
+        return orbit_walk((point,), lambda x: [g.images[x] for g in gens])
 
     def orbits(self, points=None):
         """Orbit partition of the given points (default all), sorted by minimum."""
@@ -321,7 +328,8 @@ class CosetAction:
 
     Coset 0 is the subgroup itself and the transversal is built
     breadth-first from the group generators, so the numbering is
-    deterministic.  g0 sends coset gH to (g0 g)H.
+    deterministic.  g0 sends coset gH to (g0 g)H.  The walk is not
+    orbit_walk: a coset is seen by a membership search, not a hash.
     """
 
     def __init__(self, group, subgroup):
@@ -386,28 +394,6 @@ def _is_two_power(n):
     return n >= 2 and n & (n - 1) == 0
 
 
-def _image_walk(generators):
-    """Breadth-first walk of the group generated by permutations of 0..m-1.
-
-    generators are image tuples, at least one.  Returns the elements as
-    image tuples in walk order, the identity first, and for each element
-    after the first the pair (earlier element index, generator index)
-    whose product gives it: element = generators[j] * elements[i].
-    """
-    identity = tuple(range(len(generators[0])))
-    elements = [identity]
-    seen = {identity}
-    parents = [None]
-    for i, a in enumerate(elements):
-        for j, g in enumerate(generators):
-            b = tuple(map(g.__getitem__, a))
-            if b not in seen:
-                seen.add(b)
-                elements.append(b)
-                parents.append((i, j))
-    return elements, parents
-
-
 def _best_image(group, point):
     """The image on Ω = orbit(point) that even_orbit_search certifies with.
 
@@ -420,7 +406,8 @@ def _best_image(group, point):
         return None
     position = {x: i for i, x in enumerate(orbit)}
     on_orbit = [tuple(position[g.images[x]] for x in orbit) for g in group.generators]
-    elements, parents = _image_walk(on_orbit)
+    moves, identity = [a.__getitem__ for a in on_orbit], tuple(range(len(orbit)))
+    elements, parents = _walk_tree(identity, lambda a: [tuple(map(f, a)) for f in moves])
     home = position[point]
     orders = []
     fixed_orders = set()

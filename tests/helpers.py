@@ -7,7 +7,8 @@ orbit bound they give along a base, the vertex map a dart automorphism
 covers, vertex orbits from the vertex generators alone, vertex and edge
 stabilizers from Schreier-Sims chains on a lifted action (darts, vertices
 and edges) built here from each generator's vertex and edge images, coset
-tables (for reconstruction and the even-orbit search), the explicit
+tables (for reconstruction and the even-orbit search), the vertex search
+order as one queue over its list, the explicit
 automorphism group (every parallel swap and loop flip as a dart
 permutation, then the lifts), a breadth-first cycle basis (its rank is the
 genus), long division in GF(p)[x] with its quotient, a list-scan byte
@@ -16,6 +17,7 @@ from cycles, K_{a,b}, the graph file text of a graph and the quartic
 x^4 - x - 1.  None of it shares code with the package internals it checks.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -701,6 +703,29 @@ def breadth_first_base(graph):
     return order
 
 
+def listed_search_order(graph, prefix):
+    """The vertex search order from one queue over the order list: the
+    prefix, then breadth-first from it, neighbours ascending, and from the
+    smallest unvisited vertex of each component left."""
+    nbrs = [set() for _ in range(graph.vertex_count)]
+    for u, v in graph.edges:
+        if u != v:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    order, seen, head = list(prefix), set(prefix), 0
+    for start in range(len(nbrs)):
+        while head < len(order):
+            for y in sorted(nbrs[order[head]]):
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+            head += 1
+        if start not in seen:
+            seen.add(start)
+            order.append(start)
+    return order
+
+
 def base_orbit_bound(automorphisms, base):
     """Sum over base levels of (orbit length - 1), each orbit that of b_i
     under the automorphisms fixing b_0..b_(i-1), read off the full list."""
@@ -803,13 +828,15 @@ def brute_canonical_form(graph):
     return (graph.vertex_count, tuple(best))
 
 
+@functools.lru_cache(maxsize=None)
 def stable_graphs_by_canonical_form(genus):
     """One graph per isomorphism class of connected stable multigraphs of the
-    genus, deduplicated by brute_canonical_form."""
+    genus, deduplicated by brute_canonical_form; built once per genus and
+    shared, so a tuple."""
     classes = {}
     for g in labelled_stable_multigraphs(genus):
         classes.setdefault(brute_canonical_form(g), g)
-    return list(classes.values())
+    return tuple(classes.values())
 
 
 def stable_graphs_by_networkx(genus):

@@ -968,10 +968,10 @@ class TestEnumerationCap:
         # S10 acts on the ten darts at a vertex of K11: 3628800 > 10^6
         from degenera import perms
 
-        def walk(generators):
+        def walk(start, step):
             raise AssertionError("the image was walked")
 
-        monkeypatch.setattr(perms, "_image_walk", walk)
+        monkeypatch.setattr(perms, "_walk_tree", walk)
         path = tmp_path / "k11.graph"
         path.write_text(graph_text(complete_graph(11)))
         code, out, err = run_cli(capsys, "certify", str(path))

@@ -473,10 +473,17 @@ class TestPackedRing:
                         got = slots_of(ring, ring.mul(ring.pack(a), ring.pack(b) << ring.k))
                         expect = schoolbook_mulmod(reduced(a, p), [0] + reduced(b, p), fbar, p)
                         assert reduced(got, p) == expect, (p, n, a, b)
+                    # the inline step of `powers`, which makes most of the
+                    # prime loop's products, from h with every slot 2p - 1
+                    top = [2 * p - 1] * n
+                    expect = [1]
+                    for power in ring.powers(ring.pack(top)):
+                        assert reduced(slots_of(ring, power), p) == expect, (p, n)
+                        expect = schoolbook_mulmod(expect, reduced(top, p), fbar, p)
 
     def test_ladder(self):
-        # 5..31 start the ladder at a monomial x^e with e < n for some n
-        # and at a product x^(n-1) * x^(e-n+1) for others, n = 2..16
+        # every start is a monomial x^e with e < n, n = 2..16: e = p for
+        # the primes below n, else a prefix of one to four bits of p
         rng = random.Random(34)
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 65521, LARGEST_PRIME):
             for n in range(2, 17):

@@ -11,6 +11,7 @@ from degenera.graphs import (
     circulant_graph,
     complete_graph,
     doubled_cycle,
+    _VertexMatcher,
     family,
     is_admissible,
     theta_loops,
@@ -30,6 +31,7 @@ from helpers import (
     explicit_root_stabilizer,
     graph_text,
     group_elements,
+    listed_search_order,
     networkx_vertex_automorphisms,
     petersen_graph,
     prism_graph,
@@ -366,6 +368,56 @@ class TestGeneratorSearch:
         # the dihedral group of the 300-cycle
         assert len(brute_closure(list(vertex_gens))) == 600
         assert len(aut.group.generators) == len(vertex_gens) + 300
+
+
+class TestSearchOrder:
+    """The vertex search order, orbit_walk on the matcher's sorted
+    neighbour lists, against one queue over the order list."""
+
+    FAMILIES = (
+        [("circulant", g) for g in range(7, 13)]
+        + [("k5", None), ("theta-loops", None)]
+        + [("double-cycle", g) for g in range(4, 13)]
+    )
+
+    @staticmethod
+    def check(graph, prefixes):
+        for prefix in prefixes:
+            got = _VertexMatcher(graph, prefix).order
+            assert got == listed_search_order(graph, prefix), prefix
+
+    @staticmethod
+    def prefixes(graph, rng):
+        """The empty prefix, every root, and the ends that fixing_order pins
+        for the darts at a vertex and for a random dart set."""
+        out = [()] + [(v,) for v in range(graph.vertex_count)]
+        for v in range(graph.vertex_count):
+            edges = {d >> 1 for d in graph.darts_at(v)}
+            out.append(sorted({w for e in edges for w in graph.edges[e]}))
+        darts = rng.sample(range(graph.dart_count), rng.randint(0, graph.dart_count))
+        out.append(sorted({w for d in darts for w in graph.edges[d >> 1]}))
+        return out
+
+    def test_families(self):
+        rng = random.Random(41)
+        for name, genus in self.FAMILIES:
+            g = family(name, genus)
+            self.check(g, self.prefixes(g, rng))
+
+    def test_random_multigraphs(self):
+        rng = random.Random(42)
+        for _ in range(40):
+            g = random_connected_multigraph(rng, rng.randint(1, 9), rng.randint(0, 9))
+            self.check(g, self.prefixes(g, rng))
+
+    def test_components_and_unsorted_prefixes(self):
+        # vertex 3 is isolated, 6 is reached only from the prefix's
+        # component, and the prefixes list their vertices out of order
+        g = DartGraph(
+            8, [(0, 1), (1, 2), (4, 5), (5, 5), (6, 4), (7, 2)], require_connected=False
+        )
+        prefixes = [(), (5,), (3,), (2, 6), (6, 2), (7, 3, 0), tuple(range(8))]
+        self.check(g, prefixes + [sorted(p) for p in prefixes])
 
 
 class TestTransitivityAndOrbits:

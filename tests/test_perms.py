@@ -9,6 +9,7 @@ from degenera.perms import (
     Perm,
     PermGroup,
     even_orbit_search,
+    orbit_walk,
     verify_certificate,
 )
 from helpers import (
@@ -112,6 +113,15 @@ class TestPermGroup:
         # depth-first walk would list 3 before 4
         g = PermGroup(5, [from_cycles(5, [(0, 1), (2, 3)]), from_cycles(5, [(0, 2), (1, 4)])])
         assert g.orbit(0) == [0, 1, 2, 4, 3]
+
+    def test_orbit_walk_lists_its_starts_first(self):
+        # the path 0-1-2-3-4 and the lone point 5: the starts 3 and 0 in
+        # the given order, then 2 and 4 from 3 before 1 from 0
+        path = [[1], [0, 2], [1, 3], [2, 4], [3], []]
+        assert orbit_walk((3, 0), path.__getitem__) == [3, 0, 2, 4, 1]
+        assert orbit_walk((5, 4), path.__getitem__) == [5, 4, 3, 2, 1, 0]
+        assert orbit_walk((5,), path.__getitem__) == [5]
+        assert orbit_walk((), path.__getitem__) == []
 
     def test_contains_group(self):
         g = s_n(4)
@@ -367,7 +377,10 @@ class TestEvenOrbitSearch:
                 images = list(range(degree))
                 rng.shuffle(images)
                 gens.append(tuple(images))
-            elements, parents = perms._image_walk(gens)
+            identity = tuple(range(degree))
+            elements, parents = perms._walk_tree(
+                identity, lambda a: [compose_images(g, a) for g in gens]
+            )
             assert set(elements) == brute_closure(gens)
             assert len(elements) == len(set(elements))
             assert parents[0] is None
